@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,7 +47,6 @@ class JobSpec:
     which: str | None = None
     center: str | None = None
     eps: str | None = None
-    max_dim: int = 10
 
     @property
     def effective_tol(self) -> float:
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the result document here instead of stdout")
     common.add_argument("--mode", choices=("exact", "float"), default="exact")
     common.add_argument("--tol", type=float, default=None,
-                        help="absolute tolerance (float mode only; default 1e-12)")
+                        help="absolute tolerance > 0 (float mode only; default 1e-12)")
     common.add_argument("--svg", metavar="PATH", help="also write a Lorenz-curve plot")
     common.add_argument("--sort", action="store_true",
                         help="sort input entries non-increasing instead of rejecting")
@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     ball = parsers["ball"]
     ball.add_argument("--center", metavar="V", help="comma-separated center entries")
     ball.add_argument("--eps", metavar="E", required=True, help="l1 radius")
-    ball.add_argument("--max-dim", type=int, default=10,
-                      help="vertex enumeration dimension cap (default 10)")
     ball_group = ball.add_mutually_exclusive_group()
     ball_group.add_argument("--vertices", dest="which", action="store_const", const="vertices")
     ball_group.add_argument("--inf", dest="which", action="store_const", const="inf")
@@ -111,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _job_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> JobSpec:
     if args.tol is not None and args.mode == "exact":
         parser.error("--tol is only valid with --mode float")
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        parser.error(f"--tol must be finite and greater than 0, got {args.tol!r}")
     if args.command == "lorenz" and not args.svg:
         parser.error("lorenz requires --svg PATH")
     return JobSpec(
@@ -126,7 +126,6 @@ def _job_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         which=getattr(args, "which", None) or ("vertices" if args.command == "ball" else None),
         center=getattr(args, "center", None),
         eps=getattr(args, "eps", None),
-        max_dim=getattr(args, "max_dim", 10),
     )
 
 
@@ -205,7 +204,7 @@ def run(job: JobSpec) -> int:
     elif job.command == "ball":
         _expect(job, vectors, 1, 1)
         ball = Ball(vectors[0], job.eps)  # Ball parses the string in the center's mode
-        hull = ball_vertices(ball, max_dimension=job.max_dim)
+        hull = ball_vertices(ball)
         if job.which == "inf":
             results = [polytope_inf(hull)]
         elif job.which == "sup":

@@ -29,6 +29,7 @@ from .errors import (
 from .numeric import (
     DEFAULT_FLOAT_TOL,
     Scalar,
+    check_tol,
     cumulative_sums,
     eq,
     geq,
@@ -55,9 +56,7 @@ def _coerce_homogeneous(values: Sequence[object], tol: float) -> tuple[tuple[Sca
     has_fraction = any(isinstance(v, Fraction) for v in values)
     if has_float and has_fraction:
         raise ModeMismatchError("exact and float entries mixed")
-    tol = float(tol)
-    if tol < 0:
-        raise ModeMismatchError("tolerance must be non-negative")
+    tol = check_tol(tol)
     if has_float and tol == 0:
         raise ModeMismatchError("float entries need a positive tolerance")
     if not has_float and tol != 0:
@@ -165,6 +164,17 @@ class LorenzCurve:
         return self.values[k] + (self.values[k + 1] - self.values[k]) * (omega - k)
 
 
+def _trusted(cls, **fields):
+    """A vector or curve built from values that are valid by construction.
+
+    Kernel outputs come from inputs that already passed the public
+    constructors, so their checks are not run again.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def make_vector(
     raw: Iterable[object],
     *,
@@ -209,7 +219,7 @@ def top(d: int, *, tol: float | None = None) -> OrderedProbVector:
     _check_dimension(d)
     exact, tol_eff = resolve_mode((), tol)
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-    return OrderedProbVector((one,) + (zero,) * (d - 1), tol_eff)
+    return _trusted(OrderedProbVector, entries=(one,) + (zero,) * (d - 1), tol=tol_eff)
 
 
 def bottom(d: int, *, tol: float | None = None) -> OrderedProbVector:
@@ -217,12 +227,17 @@ def bottom(d: int, *, tol: float | None = None) -> OrderedProbVector:
     _check_dimension(d)
     exact, tol_eff = resolve_mode((), tol)
     share = Fraction(1, d) if exact else 1.0 / d
-    return OrderedProbVector((share,) * d, tol_eff)
+    return _trusted(OrderedProbVector, entries=(share,) * d, tol=tol_eff)
+
+
+def _from_sums(sums: Sequence[Scalar], tol: float) -> OrderedProbVector:
+    """Finite differences of valid cumulative values S_0..S_d, trusted."""
+    return _trusted(OrderedProbVector, entries=tuple(b - a for a, b in zip(sums, sums[1:])), tol=tol)
 
 
 def partial_sums(x: OrderedProbVector) -> LorenzCurve:
     """Lorenz curve of x: the points (k, S_k) for k = 0..d."""
-    return LorenzCurve(cumulative_sums(x.entries), x.tol)
+    return _trusted(LorenzCurve, values=cumulative_sums(x.entries), tol=x.tol)
 
 
 def curve_to_vector(curve) -> OrderedProbVector:
@@ -233,8 +248,7 @@ def curve_to_vector(curve) -> OrderedProbVector:
     """
     if not isinstance(curve, LorenzCurve):
         curve = LorenzCurve(tuple(curve))
-    vals = curve.values
-    return OrderedProbVector(tuple(vals[k + 1] - vals[k] for k in range(curve.d)), curve.tol)
+    return _from_sums(curve.values, curve.tol)
 
 
 def pair_tolerance(x: OrderedProbVector, y: OrderedProbVector) -> float:

@@ -2,33 +2,27 @@
 
 The pairwise meet takes per-index minima of prefix sums; a minimum of
 concave curves is concave, so the differences are already sorted. The
-pairwise join is kept in two independent routes that must agree and serve
-as mutual oracles: block-averaging repair of the max-prefix-sum
-differences, and the least concave majorant of the max prefix sums.
-Arbitrary families enter either as explicit member lists or as per-index
-prefix-sum extrema (the only data the family bounds depend on, which is
-how continuously parametrized families are handled).
+pairwise join repairs the max-prefix-sum differences by block averaging;
+the family supremum takes the least concave majorant of the max prefix
+sums. On two members these are independent algorithms for the same
+bound, and the tests hold them to agree. Arbitrary families enter either
+as explicit member lists or as per-index prefix-sum extrema (the only
+data the family bounds depend on, which is how continuously parametrized
+families are handled).
+
+Operands are validated once, when they are built; the kernels here trust
+them, and their outputs skip the public constructors' checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Sequence, Union
 
-from .core import LorenzCurve, OrderedProbVector, curve_to_vector, pair_tolerance
-from .errors import (
-    BadEndpointsError,
-    EmptyFamilyError,
-    EmptyInputError,
-    InvalidExtremalError,
-    ModeMismatchError,
-    NegativeEntryError,
-    NotMonotoneError,
-    NotNormalizedError,
-    NotSortedError,
-)
-from .numeric import Scalar, eq, geq, lt, parse_scalar, resolve_mode
+from .core import OrderedProbVector, _from_sums, _trusted, pair_tolerance
+from .errors import EmptyFamilyError, InvalidExtremalError, NotSortedError
+from .numeric import Scalar, check_tol, eq, geq, lt, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,7 @@ class ExtremalFamily:
     def __post_init__(self):
         if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
             raise InvalidExtremalError(f"dimension must be a positive integer, got {self.d!r}")
-        tol = float(self.tol)
-        if tol < 0:
-            raise ModeMismatchError("tolerance must be non-negative")
+        tol = check_tol(self.tol)
         exact = tol == 0
         lower = tuple(parse_scalar(v, exact) for v in self.lower)
         upper = tuple(parse_scalar(v, exact) for v in self.upper)
@@ -106,26 +98,10 @@ class ExtremalFamily:
 VectorFamily = Union[FiniteFamily, ExtremalFamily]
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """Least concave majorant of a cumulative polygon, plus the kept indices."""
-
-    critical_indices: tuple[int, ...]
-    curve: LorenzCurve
-
-    def __post_init__(self):
-        ks = tuple(int(k) for k in self.critical_indices)
-        increasing = all(b > a for a, b in zip(ks, ks[1:]))
-        if not ks or ks[0] != 0 or ks[-1] != self.curve.d or not increasing:
-            raise NotMonotoneError("critical indices must increase from 0 to d")
-        object.__setattr__(self, "critical_indices", ks)
-
-
 def meet(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
     """Greatest lower bound of x and y under majorization."""
     tol = pair_tolerance(x, y)
-    mins = tuple(min(a, b) for a, b in zip(x.prefix_sums(), y.prefix_sums()))
-    return curve_to_vector(LorenzCurve(mins, tol))
+    return _from_sums(tuple(min(a, b) for a, b in zip(x.prefix_sums(), y.prefix_sums())), tol)
 
 
 def join(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
@@ -133,17 +109,10 @@ def join(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
     tol = pair_tolerance(x, y)
     maxes = [max(a, b) for a, b in zip(x.prefix_sums(), y.prefix_sums())]
     z = [maxes[k + 1] - maxes[k] for k in range(x.d)]
-    if all(geq(a, b, tol) for a, b in zip(z, z[1:])):
-        return OrderedProbVector(tuple(z), tol)
-    return flatten(z, tol=tol if tol else None)
+    return _trusted(OrderedProbVector, entries=_flatten(z, tol), tol=tol)
 
 
-def join_by_envelope(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
-    """Least upper bound via the least concave majorant of max prefix sums."""
-    return family_sup(FiniteFamily((x, y)))
-
-
-def flatten(w: Iterable[object], *, tol: float | None = None) -> OrderedProbVector:
+def _flatten(values: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
     """Sort a probability vector into the ordered simplex by block averaging.
 
     Repeatedly: find the first adjacent ascent w[j-1] < w[j]; among block
@@ -151,35 +120,25 @@ def flatten(w: Iterable[object], *, tol: float | None = None) -> OrderedProbVect
     block average (the leftmost position always qualifies); replace
     w[k..j] by that average. At most d-1 repairs are needed.
     """
-    values = list(w)
-    if not values:
-        raise EmptyInputError("no entries given")
-    exact, tol_eff = resolve_mode(values, tol)
-    vals = [parse_scalar(v, exact) for v in values]
-    zero = vals[0] * 0
-    for e in vals:
-        if not geq(e, zero, tol_eff):
-            raise NegativeEntryError(f"negative entry {e!r}")
+    vals = list(values)
     d = len(vals)
-    if not eq(sum(vals), zero + 1, tol_eff * d):
-        raise NotNormalizedError(f"entries sum to {sum(vals)!r}, expected 1")
     repairs = 0
     while True:
-        ascent = next((j for j in range(1, d) if lt(vals[j - 1], vals[j], tol_eff)), None)
+        ascent = next((j for j in range(1, d) if lt(vals[j - 1], vals[j], tol)), None)
         if ascent is None:
             break
         if repairs >= d:
             raise NotSortedError("block averaging failed to terminate")
         for k in range(ascent - 1, -1, -1):
             avg = sum(vals[k : ascent + 1]) / (ascent - k + 1)
-            if k == 0 or geq(vals[k - 1], avg, tol_eff):
+            if k == 0 or geq(vals[k - 1], avg, tol):
                 vals[k : ascent + 1] = [avg] * (ascent - k + 1)
                 break
         repairs += 1
-    return OrderedProbVector(tuple(vals), tol_eff)
+    return tuple(vals)
 
 
-def upper_envelope(values: Iterable[object], *, tol: float | None = None) -> EnvelopeResult:
+def _upper_envelope(vals: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
     """Least concave majorant of the polygon through (k, S_k), k = 0..d.
 
     Scans left to right: from index i, jump to the last index attaining
@@ -187,20 +146,7 @@ def upper_envelope(values: Iterable[object], *, tol: float | None = None) -> Env
     ties within tolerance toward the later index). The interpolation
     through the kept indices is the envelope.
     """
-    raw = list(values)
-    if len(raw) < 2:
-        raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
-    exact, tol_eff = resolve_mode(raw, tol)
-    vals = [parse_scalar(v, exact) for v in raw]
     d = len(vals) - 1
-    zero = vals[0] * 0
-    if not eq(vals[0], zero, tol_eff):
-        raise BadEndpointsError(f"S_0 must be 0, got {vals[0]!r}")
-    if not eq(vals[d], zero + 1, tol_eff * d):
-        raise BadEndpointsError(f"S_d must be 1, got {vals[d]!r}")
-    for a, b in zip(vals, vals[1:]):
-        if not geq(b, a, tol_eff):
-            raise NotMonotoneError(f"cumulative values decrease: {a!r} > {b!r}")
     kept = [0]
     i = 0
     while i < d:
@@ -210,7 +156,7 @@ def upper_envelope(values: Iterable[object], *, tol: float | None = None) -> Env
             slope = (vals[j] - vals[i]) / (j - i)
             if best is None or slope > best:
                 best, best_j = slope, j
-            elif geq(slope, best, tol_eff):
+            elif geq(slope, best, tol):
                 best_j = j  # tie within tolerance: later index wins
         kept.append(best_j)
         i = best_j
@@ -219,7 +165,7 @@ def upper_envelope(values: Iterable[object], *, tol: float | None = None) -> Env
         step = (vals[right] - vals[left]) / (right - left)
         for k in range(left + 1, right + 1):
             env.append(vals[right] if k == right else vals[left] + step * (k - left))
-    return EnvelopeResult(tuple(kept), LorenzCurve(tuple(env), tol_eff))
+    return tuple(env)
 
 
 def as_family(family) -> VectorFamily:
@@ -238,14 +184,14 @@ def family_inf(family) -> OrderedProbVector:
     """Greatest lower bound of a family: per-index prefix-sum infima, differenced."""
     family = as_family(family)
     if isinstance(family, FiniteFamily):
-        return curve_to_vector(LorenzCurve(_fold(family, min), family.tol))
+        return _from_sums(_fold(family, min), family.tol)
     lower, tol = family.lower, family.tol
     for k in range(1, family.d):
         if not geq(lower[k], (lower[k - 1] + lower[k + 1]) / 2, tol):
             raise InvalidExtremalError(
                 "lower map is not concave; per-index infima of Lorenz curves always are"
             )
-    return curve_to_vector(LorenzCurve(lower, tol))
+    return _from_sums(lower, tol)
 
 
 def family_sup(family) -> OrderedProbVector:
@@ -255,5 +201,4 @@ def family_sup(family) -> OrderedProbVector:
         values, tol = _fold(family, max), family.tol
     else:
         values, tol = family.upper, family.tol
-    envelope = upper_envelope(values, tol=tol if tol else None)
-    return curve_to_vector(envelope.curve)
+    return _from_sums(_upper_envelope(values, tol), tol)

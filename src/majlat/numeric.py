@@ -8,6 +8,7 @@ a difference within tau counts as zero.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -54,6 +55,14 @@ def infer_exact(values: Sequence[object]) -> bool:
     return False
 
 
+def check_tol(tol: object) -> float:
+    """A tolerance as a float: 0 for exact mode, finite and positive for float mode."""
+    t = float(tol)
+    if not 0 <= t < math.inf:  # NaN fails every comparison
+        raise ModeMismatchError(f"tolerance must be finite and non-negative, got {t!r}")
+    return t
+
+
 def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, float]:
     """Map (raw values, requested tolerance) to (exact?, effective tolerance).
 
@@ -63,12 +72,8 @@ def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, flo
     if tol is None:
         exact = infer_exact(values)
         return exact, 0.0 if exact else DEFAULT_FLOAT_TOL
-    t = float(tol)
-    if t < 0:
-        raise ModeMismatchError("tolerance must be non-negative")
-    if t == 0:
-        return True, 0.0
-    return False, t
+    t = check_tol(tol)
+    return t == 0, t
 
 
 def leq(a: Scalar, b: Scalar, tol: float) -> bool:

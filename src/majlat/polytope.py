@@ -20,6 +20,8 @@ from .errors import DimensionTooLargeError, EmptyFamilyError, NegativeRadiusErro
 from .lattice import FiniteFamily, family_inf, family_sup
 from .numeric import Scalar, geq, leq, parse_scalar, solve_square
 
+MAX_DIMENSION = 10  # vertex enumeration cost explodes beyond this
+
 
 def _l1(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     return sum(abs(u - v) for u, v in zip(a, b))
@@ -81,7 +83,7 @@ def polytope_sup(p: Polytope) -> OrderedProbVector:
     return family_sup(FiniteFamily(p.vertices))
 
 
-def ball_vertices(ball: Ball, *, max_dimension: int = 10) -> Polytope:
+def ball_vertices(ball: Ball) -> Polytope:
     """All vertices of {x in the ordered simplex : ||x - center||_1 <= radius}.
 
     Candidates are solutions of square active-constraint systems on the
@@ -96,15 +98,15 @@ def ball_vertices(ball: Ball, *, max_dimension: int = 10) -> Polytope:
     deduplicated. Exact mode stays entirely in rationals.
 
     Cost grows combinatorially with dimension (fine up to d around 6,
-    heavy beyond), hence the configurable cap.
+    heavy beyond), hence the cap.
 
     Raises:
-        DimensionTooLargeError: when the center dimension exceeds the cap.
+        DimensionTooLargeError: when the center dimension exceeds MAX_DIMENSION.
     """
     center = ball.center
     d = center.d
-    if d > max_dimension:
-        raise DimensionTooLargeError(f"dimension {d} above enumeration cap {max_dimension}")
+    if d > MAX_DIMENSION:
+        raise DimensionTooLargeError(f"dimension {d} above enumeration cap {MAX_DIMENSION}")
     tol = center.tol
     exact = center.is_exact
     eps = ball.radius
@@ -162,11 +164,11 @@ def _feasible(x: Sequence[Scalar], x0: Sequence[Scalar], eps: Scalar, tol: float
     return geq(x[-1], x[0] * 0, tol)
 
 
-def steepest_approx(ball: Ball, *, max_dimension: int = 10) -> OrderedProbVector:
+def steepest_approx(ball: Ball) -> OrderedProbVector:
     """Most concentrated vector within reach: majorizes every ball member."""
-    return polytope_sup(ball_vertices(ball, max_dimension=max_dimension))
+    return polytope_sup(ball_vertices(ball))
 
 
-def flattest_approx(ball: Ball, *, max_dimension: int = 10) -> OrderedProbVector:
+def flattest_approx(ball: Ball) -> OrderedProbVector:
     """Least concentrated vector within reach: majorized by every ball member."""
-    return polytope_inf(ball_vertices(ball, max_dimension=max_dimension))
+    return polytope_inf(ball_vertices(ball))

@@ -16,18 +16,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import OrderedProbVector, make_vector
+from .core import OrderedProbVector
 from .errors import (
     AlphaMinOutOfRangeError,
     AlphaOutOfRangeError,
     BlockDimensionError,
     InvalidStateSpecError,
     NegativeProbabilityError,
-    NotNormalizedError,
     ZeroDimensionError,
 )
 from .lattice import ExtremalFamily, as_family, family_inf, family_sup
-from .numeric import Scalar, cumulative_sums, eq, geq, leq, lt, parse_scalar, resolve_mode
+from .numeric import Scalar, cumulative_sums, geq, leq, lt, parse_scalar, resolve_mode
 
 
 class Direction(Enum):
@@ -122,10 +121,7 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         for p in probs:
             if not geq(p, zero, tol_eff):
                 raise NegativeProbabilityError(f"negative probability {p!r}")
-    total = sum(probs)
-    if not eq(total, probs[0] * 0 + 1, tol_eff * len(probs)):
-        raise NotNormalizedError(f"probabilities sum to {total!r}, expected 1")
-    return make_vector(probs, sort=True, tol=None if exact else tol_eff)
+    return OrderedProbVector(tuple(sorted(probs, reverse=True)), tol_eff)
 
 
 def optimal_common_resource(family, theory: ResourceTheory) -> OrderedProbVector:

@@ -21,7 +21,6 @@ from majlat import (
     first_component_family,
     flattest_approx,
     join,
-    join_by_envelope,
     majorizes,
     make_vector,
     meet,
@@ -196,14 +195,14 @@ def test_criterion_7_join_path_equivalence():
     y = make_vector(["0.48", "0.2", "0.17", "0.15"])
     pinned = join(x, y)
     assert pinned.entries == (Fraction(12, 25), Fraction(21, 100), Fraction(21, 100), Fraction(1, 10))
-    assert pinned == join_by_envelope(x, y)
+    assert pinned == family_sup((x, y))
     rng = random.Random(7777)
     for i in range(10000):
         d = 2 + i % 7
         a = random_grid_vector(rng, d, 60)
         b = random_grid_vector(rng, d, 60)
-        assert join(a, b) == join_by_envelope(a, b)
-    _report(7, "block-averaging and envelope joins agree on 10000 random pairs")
+        assert join(a, b) == family_sup((a, b))
+    _report(7, "block-averaging join and envelope supremum agree on 10000 random pairs")
 
 
 def _sample_member(rng, center, eps):

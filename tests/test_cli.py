@@ -196,6 +196,13 @@ class TestExitCodes:
     def test_tol_requires_float_mode(self, pair_file):
         assert run_cli("meet", "-i", pair_file, "--tol", "1e-9") == 2
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_float_tol_must_be_finite_and_positive(self, pair_file, tol, capsys):
+        assert run_cli("compare", "-i", pair_file, "--mode", "float", "--tol", tol) == 2
+        err = capsys.readouterr().err
+        assert "--tol must be finite and greater than 0" in err
+        assert "Traceback" not in err
+
     def test_lorenz_requires_svg(self, pair_file):
         assert run_cli("lorenz", "-i", pair_file) == 2
 

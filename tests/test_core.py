@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from majlat import (
     BadEndpointsError,
     DimensionMismatchError,
     EmptyInputError,
+    ExtremalFamily,
     LorenzCurve,
     MajOrdering,
     ModeMismatchError,
@@ -15,6 +17,7 @@ from majlat import (
     NotMonotoneError,
     NotNormalizedError,
     NotSortedError,
+    OrderedProbVector,
     ZeroDimensionError,
     bottom,
     compare,
@@ -229,3 +232,17 @@ def test_parse_scalar_rejects_float_in_exact_mode():
 def test_vector_str_uses_canonical_strings():
     assert str(make_vector(FIG_X)) == "[0.6, 0.16, 0.16, 0.08]"
     assert str(bottom(3)) == "[1/3, 1/3, 1/3]"
+
+
+TOLERANT_BUILDERS = {
+    "make_vector": lambda tol: make_vector(["0.5", "0.5"], tol=tol),
+    "OrderedProbVector": lambda tol: OrderedProbVector((0.5, 0.5), tol),
+    "ExtremalFamily": lambda tol: ExtremalFamily(2, (0.0, 0.5, 1.0), (0.0, 1.0, 1.0), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("build", TOLERANT_BUILDERS.values(), ids=TOLERANT_BUILDERS.keys())
+def test_tolerance_must_be_finite_and_non_negative(build, tol):
+    with pytest.raises(ModeMismatchError):
+        build(tol)

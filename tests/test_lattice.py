@@ -1,40 +1,45 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from majlat import (
-    BadEndpointsError,
     EmptyFamilyError,
     ExtremalFamily,
     FiniteFamily,
     InvalidExtremalError,
-    NegativeEntryError,
-    NotMonotoneError,
-    NotNormalizedError,
+    LorenzCurve,
+    OrderedProbVector,
+    Polytope,
     bottom,
     compare,
     curve_to_vector,
     family_inf,
     family_sup,
-    flatten,
     join,
-    join_by_envelope,
     majorizes,
     make_vector,
     meet,
     partial_sums,
+    polytope_inf,
+    polytope_sup,
     top,
-    upper_envelope,
 )
 from majlat.core import MajOrdering
+from majlat.lattice import _flatten, _upper_envelope
+from majlat.numeric import cumulative_sums
 
 from .oracles import chord_envelope, grid_vectors, random_grid_vector
 from .strategies import monotone_profiles, vector_families, vector_pairs, vector_triples, vectors
 
 FIG_X = ["0.6", "0.16", "0.16", "0.08"]
 FIG_Y = ["0.5", "0.3", "0.1", "0.1"]
+
+
+def exact(*values):
+    return [Fraction(v) for v in values]
 
 
 class TestMeetJoin:
@@ -51,7 +56,7 @@ class TestMeetJoin:
         y = make_vector(["0.48", "0.2", "0.17", "0.15"])
         expected = (Fraction(12, 25), Fraction(21, 100), Fraction(21, 100), Fraction(1, 10))
         assert join(x, y).entries == expected
-        assert join_by_envelope(x, y).entries == expected
+        assert family_sup((x, y)).entries == expected
 
     @given(vectors())
     def test_idempotent(self, v):
@@ -91,7 +96,7 @@ class TestMeetJoin:
     @given(vector_pairs())
     def test_join_routes_agree(self, pair):
         x, y = pair
-        assert join(x, y) == join_by_envelope(x, y)
+        assert join(x, y) == family_sup((x, y))
 
     def test_optimality_against_grid(self):
         rng = random.Random(7)
@@ -109,83 +114,54 @@ class TestMeetJoin:
 
 class TestFlatten:
     def test_single_block_average(self):
-        got = flatten(["0.48", "0.2", "0.22", "0.1"])
-        assert got.entries == (Fraction(12, 25), Fraction(21, 100), Fraction(21, 100), Fraction(1, 10))
+        got = _flatten(exact("0.48", "0.2", "0.22", "0.1"), 0.0)
+        assert got == (Fraction(12, 25), Fraction(21, 100), Fraction(21, 100), Fraction(1, 10))
 
     def test_sorted_input_unchanged(self):
-        assert flatten(["0.5", "0.3", "0.2"]).entries == (
+        assert _flatten(exact("0.5", "0.3", "0.2"), 0.0) == (
             Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 
     def test_forced_averaging_in_dimension_two(self):
-        assert flatten(["0.2", "0.8"]).entries == (Fraction(1, 2), Fraction(1, 2))
+        assert _flatten(exact("0.2", "0.8"), 0.0) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_agrees_with_envelope_oracle(self):
         raw = [Fraction(12, 25), Fraction(1, 5), Fraction(11, 50), Fraction(1, 10)]
-        cumulative = [Fraction(0)]
-        for value in raw:
-            cumulative.append(cumulative[-1] + value)
-        oracle = chord_envelope(cumulative)
-        got = partial_sums(flatten(raw)).values
-        assert got == oracle
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalizedError):
-            flatten(["0.2", "0.2"])
-
-    def test_rejects_negative(self):
-        with pytest.raises(NegativeEntryError):
-            flatten(["1.2", "-0.2"])
+        oracle = chord_envelope(cumulative_sums(raw))
+        assert cumulative_sums(_flatten(raw, 0.0)) == oracle
 
 
 class TestUpperEnvelope:
     def test_known_envelope(self):
-        result = upper_envelope(["0", "0.48", "0.68", "0.9", "1"])
-        assert result.critical_indices == (0, 1, 3, 4)
-        assert result.curve.values[2] == Fraction(69, 100)
+        envelope = _upper_envelope(exact("0", "0.48", "0.68", "0.9", "1"), 0.0)
+        assert envelope[2] == Fraction(69, 100)
 
     def test_strictly_concave_input_untouched(self):
-        values = ("0", "0.5", "0.8", "1")
-        result = upper_envelope(values)
-        assert result.critical_indices == (0, 1, 2, 3)
-        assert result.curve.values == (0, Fraction(1, 2), Fraction(4, 5), 1)
+        envelope = _upper_envelope(exact("0", "0.5", "0.8", "1"), 0.0)
+        assert envelope == (0, Fraction(1, 2), Fraction(4, 5), 1)
 
     def test_collinear_run_skips_interior_points(self):
         # the last-maximum-slope rule jumps over collinear points; the
-        # resulting curve is still the identity on concave input
-        result = upper_envelope([0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])
-        assert result.critical_indices == (0, 4)
-        assert result.curve.values == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+        # interpolation still reproduces them on concave input
+        envelope = _upper_envelope(exact(0, "1/4", "1/2", "3/4", 1), 0.0)
+        assert envelope == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
 
     def test_plateau_with_tie_free_max_slope(self):
-        result = upper_envelope([0, "0.5", "0.5", "0.5", "1"])
-        assert result.critical_indices == (0, 1, 4)
-        assert curve_to_vector(result.curve).entries == (
+        envelope = _upper_envelope(exact(0, "0.5", "0.5", "0.5", "1"), 0.0)
+        assert curve_to_vector(envelope).entries == (
             Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
 
     @given(monotone_profiles())
     def test_matches_chord_oracle(self, values):
-        assert upper_envelope(values).curve.values == chord_envelope(values)
+        assert _upper_envelope(values, 0.0) == chord_envelope(values)
 
     @given(monotone_profiles(max_d=5))
     def test_minimality_over_grid_majorants(self, values):
-        envelope = upper_envelope(values).curve.values
+        envelope = _upper_envelope(values, 0.0)
         d = len(values) - 1
         for g in grid_vectors(d, 12):
             curve = partial_sums(g).values
             if all(a >= b for a, b in zip(curve, values)):
                 assert all(a >= b for a, b in zip(curve, envelope))
-
-    def test_bad_endpoints(self):
-        with pytest.raises(BadEndpointsError):
-            upper_envelope(["0.1", "0.5", "1"])
-        with pytest.raises(BadEndpointsError):
-            upper_envelope(["0", "0.5", "0.9"])
-        with pytest.raises(BadEndpointsError):
-            upper_envelope(["1"])
-
-    def test_not_monotone(self):
-        with pytest.raises(NotMonotoneError):
-            upper_envelope(["0", "0.6", "0.5", "1"])
 
 
 class TestFamilies:
@@ -277,3 +253,28 @@ def test_meet_join_comparable_pairs_reduce_to_min_max(pair):
     if compare(x, y) is MajOrdering.MAJORIZES:
         assert meet(x, y) == y
         assert join(x, y) == x
+
+
+REPAIRED_JOIN = (make_vector(["0.3", "0.3", "0.3", "0.1"]), make_vector(["0.48", "0.2", "0.17", "0.15"]))
+
+
+@given(vector_families(min_size=1, max_size=4), st.booleans())
+@example(REPAIRED_JOIN, True)
+@example(REPAIRED_JOIN, False)
+def test_kernel_outputs_pass_the_public_checks(members, exact_mode):
+    tol = None if exact_mode else 1e-12
+    if not exact_mode:
+        members = tuple(m.to_float(tol) for m in members)
+    d = members[0].d
+    hull = Polytope(members)
+    outputs = [op(x, y) for op in (meet, join) for x in members for y in members] + [
+        family_inf(members), family_sup(members),
+        polytope_inf(hull), polytope_sup(hull),
+        top(d, tol=tol), bottom(d, tol=tol),
+    ]
+    for out in outputs:
+        assert OrderedProbVector(out.entries, out.tol) == out
+        curve = partial_sums(out)
+        assert LorenzCurve(curve.values, curve.tol) == curve
+        if exact_mode:  # float differencing of the sums need not round-trip
+            assert curve_to_vector(curve) == out

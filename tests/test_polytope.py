@@ -132,8 +132,6 @@ class TestBallVertices:
         center = make_vector([Fraction(1, 11)] * 11)
         with pytest.raises(DimensionTooLargeError):
             ball_vertices(Ball(center, "0.1"))
-        with pytest.raises(DimensionTooLargeError):
-            ball_vertices(Ball(make_vector(CENTER), "0.1"), max_dimension=2)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(NegativeRadiusError):
