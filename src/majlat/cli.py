@@ -4,7 +4,8 @@ Commands: compare, meet, join, inf, sup, polytope, ball, ocr, lorenz.
 Inputs are JSON ({"d": ..., "vectors": [["0.6", ...], ...]}) or CSV (one
 vector per row); entries travel as decimal or ratio strings so exact mode
 stays exact. Exit codes: 0 success, 1 validation error, 2 I/O or parse
-error, 3 unsupported (dimension above the enumeration cap).
+error, 3 unsupported (dimension above the enumeration cap, or a result
+value too large to print).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import OrderedProbVector, compare, make_vector, partial_sums
 from .errors import (
@@ -23,36 +23,15 @@ from .errors import (
     InputArityError,
     MajlatError,
     ParseError,
+    TooManyDigitsError,
 )
 from .lattice import FiniteFamily, family_inf, family_sup, join, meet
-from .numeric import DEFAULT_FLOAT_TOL, scalar_str
+from .numeric import DEFAULT_FLOAT_TOL, Scalar, scalar_str
 from .polytope import Ball, Polytope, ball_vertices, polytope_inf, polytope_sup
 from .resource_theory import ResourceTheory, optimal_common_resource
 from .svg import emit_lorenz_svg
 
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    mode: str = "exact"
-    tol: float | None = None
-    inputs: tuple[str, ...] = ()
-    out: str | None = None
-    svg: str | None = None
-    sort: bool = False
-    normalize: bool = False
-    theory: str | None = None
-    which: str | None = None
-    center: str | None = None
-    eps: str | None = None
-
-    @property
-    def effective_tol(self) -> float:
-        if self.mode == "exact":
-            return 0.0  # forces exact parsing; stray JSON floats are rejected
-        return self.tol if self.tol is not None else DEFAULT_FLOAT_TOL
+MESSAGE_LIMIT = 200  # characters in one error line on stderr
 
 
 _COMMANDS = {
@@ -106,29 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> JobSpec:
-    if args.tol is not None and args.mode == "exact":
-        parser.error("--tol is only valid with --mode float")
-    if args.tol is not None and not 0 < args.tol < math.inf:
-        parser.error(f"--tol must be finite and greater than 0, got {args.tol!r}")
-    if args.command == "lorenz" and not args.svg:
-        parser.error("lorenz requires --svg PATH")
-    return JobSpec(
-        command=args.command,
-        mode=args.mode,
-        tol=args.tol,
-        inputs=tuple(args.inputs),
-        out=args.out,
-        svg=args.svg,
-        sort=args.sort,
-        normalize=args.normalize,
-        theory=getattr(args, "theory", None),
-        which=getattr(args, "which", None) or ("vertices" if args.command == "ball" else None),
-        center=getattr(args, "center", None),
-        eps=getattr(args, "eps", None),
-    )
-
-
 def _rows_from_file(path: str) -> list[list[object]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -150,129 +106,143 @@ def _rows_from_file(path: str) -> list[list[object]]:
     return vectors
 
 
-def _load_vectors(job: JobSpec) -> list[OrderedProbVector]:
+def _load_vectors(args: argparse.Namespace) -> list[OrderedProbVector]:
     rows: list[list[object]] = []
-    for path in job.inputs:
+    for path in args.inputs:
         rows.extend(_rows_from_file(path))
-    if job.command == "ball" and job.center is not None:
-        rows.append([cell.strip() for cell in job.center.split(",")])
-    return [
-        make_vector(row, normalize=job.normalize, sort=job.sort, tol=job.effective_tol)
-        for row in rows
-    ]
+    if args.command == "ball" and args.center is not None:
+        rows.append([cell.strip() for cell in args.center.split(",")])
+    return [make_vector(row, normalize=args.normalize, sort=args.sort, tol=args.tol) for row in rows]
 
 
-def _expect(job: JobSpec, vectors: list, low: int, high: int | None = None):
+def _expect(args: argparse.Namespace, vectors: list, low: int, high: int | None = None):
     n = len(vectors)
     if n < low or (high is not None and n > high):
         expected = str(low) if high == low else (f"at least {low}" if high is None else f"{low}..{high}")
-        raise InputArityError(f"{job.command} expects {expected} vector(s), got {n}")
+        raise InputArityError(f"{args.command} expects {expected} vector(s), got {n}")
 
 
-def _vector_strings(vectors: Sequence[OrderedProbVector]) -> list[list[str]]:
-    return [[scalar_str(e) for e in v.entries] for v in vectors]
+def _vector_strings(vectors: Sequence[OrderedProbVector], text: Callable[[Scalar], str]) -> list[list[str]]:
+    try:
+        return [[text(e) for e in v.entries] for v in vectors]
+    except ValueError as exc:  # raised by int-to-text conversion past its digit limit
+        raise TooManyDigitsError(f"a value has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _result_block(vectors: Sequence[OrderedProbVector], exact: bool) -> dict:
-    block = {"d": vectors[0].d, "vectors": _vector_strings(vectors)}
+    block = {"d": vectors[0].d, "vectors": _vector_strings(vectors, scalar_str)}
     if exact:
-        block["rationals"] = [[str(e) for e in v.entries] for v in vectors]
+        block["rationals"] = _vector_strings(vectors, str)
     return block
 
 
-def run(job: JobSpec) -> int:
-    vectors = _load_vectors(job)
-    exact = job.mode == "exact"
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command line whose tol is already set (0 in exact mode)."""
+    vectors = _load_vectors(args)
+    exact = args.mode == "exact"
     ordering = None
     results: list[OrderedProbVector] = []
 
-    if job.command == "compare":
-        _expect(job, vectors, 2, 2)
+    if args.command == "compare":
+        _expect(args, vectors, 2, 2)
         ordering = compare(vectors[0], vectors[1]).value
-    elif job.command in ("meet", "join"):
-        _expect(job, vectors, 2, 2)
-        op = meet if job.command == "meet" else join
+    elif args.command in ("meet", "join"):
+        _expect(args, vectors, 2, 2)
+        op = meet if args.command == "meet" else join
         results = [op(vectors[0], vectors[1])]
-    elif job.command in ("inf", "sup"):
-        _expect(job, vectors, 1)
-        op = family_inf if job.command == "inf" else family_sup
+    elif args.command in ("inf", "sup"):
+        _expect(args, vectors, 1)
+        op = family_inf if args.command == "inf" else family_sup
         results = [op(FiniteFamily(tuple(vectors)))]
-    elif job.command == "polytope":
-        _expect(job, vectors, 1)
+    elif args.command == "polytope":
+        _expect(args, vectors, 1)
         hull = Polytope(tuple(vectors))
-        results = [polytope_inf(hull) if job.which == "inf" else polytope_sup(hull)]
-    elif job.command == "ball":
-        _expect(job, vectors, 1, 1)
-        ball = Ball(vectors[0], job.eps)  # Ball parses the string in the center's mode
+        results = [polytope_inf(hull) if args.which == "inf" else polytope_sup(hull)]
+    elif args.command == "ball":
+        _expect(args, vectors, 1, 1)
+        ball = Ball(vectors[0], args.eps)  # Ball parses the string in the center's mode
         hull = ball_vertices(ball)
-        if job.which == "inf":
+        if args.which == "inf":
             results = [polytope_inf(hull)]
-        elif job.which == "sup":
+        elif args.which == "sup":
             results = [polytope_sup(hull)]
         else:
             results = list(hull.vertices)
-    elif job.command == "ocr":
-        _expect(job, vectors, 1)
-        theory = ResourceTheory(job.theory)
+    elif args.command == "ocr":
+        _expect(args, vectors, 1)
+        theory = ResourceTheory(args.theory)
         results = [optimal_common_resource(FiniteFamily(tuple(vectors)), theory)]
-    elif job.command == "lorenz":
-        _expect(job, vectors, 1)
+    elif args.command == "lorenz":
+        _expect(args, vectors, 1)
     else:  # pragma: no cover - argparse restricts the choices
-        raise ParseError(f"unknown command {job.command!r}")
+        raise ParseError(f"unknown command {args.command!r}")
 
     doc = {
-        "command": job.command,
-        "mode": job.mode,
-        "tolerance": None if exact else repr(job.effective_tol),
+        "command": args.command,
+        "mode": args.mode,
+        "tolerance": None if exact else repr(args.tol),
         "inputs": {
-            "paths": list(job.inputs),
+            "paths": list(args.inputs),
             "d": vectors[0].d,
-            "vectors": _vector_strings(vectors),
+            "vectors": _vector_strings(vectors, scalar_str),
         },
     }
-    if job.command == "ball":
-        doc["inputs"]["eps"] = job.eps
+    if args.command == "ball":
+        doc["inputs"]["eps"] = args.eps
     doc["result"] = _result_block(results, exact) if results else None
     if ordering is not None:
         doc["ordering"] = ordering
 
-    if job.svg:
+    if args.svg:
         curves = [(f"x{i + 1}", partial_sums(v)) for i, v in enumerate(vectors)]
         if len(results) == 1:
-            curves.append((job.command, partial_sums(results[0])))
+            curves.append((args.command, partial_sums(results[0])))
         else:
-            curves.extend((f"{job.command} v{i + 1}", partial_sums(v)) for i, v in enumerate(results))
-        with open(job.svg, "w", encoding="utf-8") as handle:
+            curves.extend((f"{args.command} v{i + 1}", partial_sums(v)) for i, v in enumerate(results))
+        with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(emit_lorenz_svg(curves))
-        doc["svg"] = job.svg
+        doc["svg"] = args.svg
 
     text = json.dumps(doc, indent=2) + "\n"
-    if job.out:
-        with open(job.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
+def _fail(code: int, message: str) -> int:
+    """Print one bounded stderr line; inputs and values can be thousands of digits long."""
+    line = " ".join(f"majlat: {message}".splitlines())
+    if len(line) > MESSAGE_LIMIT:
+        line = line[: MESSAGE_LIMIT - 3] + "..."
+    print(line, file=sys.stderr)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        job = _job_from_args(args, parser)
+        if args.tol is not None and args.mode == "exact":
+            parser.error("--tol is only valid with --mode float")
+        if args.tol is not None and not 0 < args.tol < math.inf:
+            parser.error(f"--tol must be finite and greater than 0, got {args.tol!r}")
+        if args.command == "lorenz" and not args.svg:
+            parser.error("lorenz requires --svg PATH")
     except SystemExit as exc:
         return int(exc.code or 0)
+    # tol 0 forces exact parsing, so stray JSON floats are rejected
+    args.tol = 0.0 if args.mode == "exact" else args.tol or DEFAULT_FLOAT_TOL
     try:
-        return run(job)
-    except DimensionTooLargeError as exc:
-        print(f"majlat: unsupported: {exc}", file=sys.stderr)
-        return 3
+        return run(args)
+    except (DimensionTooLargeError, TooManyDigitsError) as exc:
+        return _fail(3, f"unsupported: {exc}")
     except (ParseError, OSError) as exc:
-        print(f"majlat: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, str(exc))
     except MajlatError as exc:
-        print(f"majlat: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

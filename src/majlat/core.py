@@ -29,11 +29,10 @@ from .errors import (
 from .numeric import (
     DEFAULT_FLOAT_TOL,
     Scalar,
-    check_tol,
     cumulative_sums,
     eq,
     geq,
-    parse_scalar,
+    parse_values,
     resolve_mode,
     scalar_str,
 )
@@ -48,33 +47,13 @@ class MajOrdering(Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _coerce_homogeneous(values: Sequence[object], tol: float) -> tuple[tuple[Scalar, ...], float]:
-    """Shared entry coercion: all Fraction (tol 0) or all float (tol > 0)."""
-    if any(isinstance(v, bool) for v in values):
-        raise ModeMismatchError("bool is not a scalar entry")
-    has_float = any(type(v) is float for v in values)
-    has_fraction = any(isinstance(v, Fraction) for v in values)
-    if has_float and has_fraction:
-        raise ModeMismatchError("exact and float entries mixed")
-    tol = check_tol(tol)
-    if has_float and tol == 0:
-        raise ModeMismatchError("float entries need a positive tolerance")
-    if not has_float and tol != 0:
-        raise ModeMismatchError("exact entries use zero tolerance")
-    kind = float if has_float else Fraction
-    try:
-        return tuple(kind(v) for v in values), tol
-    except (TypeError, ValueError) as exc:
-        raise ModeMismatchError(f"unsupported entry: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class OrderedProbVector:
     """Probability vector with non-increasing entries.
 
-    Entries are all Fractions (exact mode, tol == 0) or all floats (float
-    mode, tol > 0); downstream comparisons treat differences within tol
-    as equality.
+    Entries are parsed by numeric.resolve_mode's rule: all Fractions
+    (exact mode, tol == 0) or all floats (float mode, tol > 0);
+    downstream comparisons treat differences within tol as equality.
     """
 
     entries: tuple[Scalar, ...]
@@ -83,17 +62,8 @@ class OrderedProbVector:
     def __post_init__(self):
         if not self.entries:
             raise EmptyInputError("a probability vector needs at least one entry")
-        entries, tol = _coerce_homogeneous(tuple(self.entries), self.tol)
-        zero = entries[0] * 0
-        for e in entries:
-            if not geq(e, zero, tol):
-                raise NegativeEntryError(f"negative entry {e!r}")
-        for a, b in zip(entries, entries[1:]):
-            if not geq(a, b, tol):
-                raise NotSortedError(f"entries increase: {a!r} < {b!r}")
-        total = sum(entries)
-        if not eq(total, zero + 1, tol * len(entries)):
-            raise NotNormalizedError(f"entries sum to {total!r}, expected 1")
+        entries, tol = parse_values(tuple(self.entries), self.tol)
+        _check_entries(entries, tol)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "tol", tol)
 
@@ -130,7 +100,7 @@ class LorenzCurve:
     def __post_init__(self):
         if len(self.values) < 2:
             raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
-        values, tol = _coerce_homogeneous(tuple(self.values), self.tol)
+        values, tol = parse_values(tuple(self.values), self.tol)
         d = len(values) - 1
         zero = values[0] * 0
         if not eq(values[0], zero, tol):
@@ -164,6 +134,20 @@ class LorenzCurve:
         return self.values[k] + (self.values[k + 1] - self.values[k]) * (omega - k)
 
 
+def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
+    """Sign, order and sum checks of parsed, non-empty vector entries."""
+    zero = entries[0] * 0
+    for e in entries:
+        if not geq(e, zero, tol):
+            raise NegativeEntryError(f"negative entry {e!r}")
+    for a, b in zip(entries, entries[1:]):
+        if not geq(a, b, tol):
+            raise NotSortedError(f"entries increase: {a!r} < {b!r}")
+    total = sum(entries)
+    if not eq(total, zero + 1, tol * len(entries)):
+        raise NotNormalizedError(f"entries sum to {total!r}, expected 1")
+
+
 def _trusted(cls, **fields):
     """A vector or curve built from values that are valid by construction.
 
@@ -189,23 +173,19 @@ def make_vector(
     satisfy the corresponding invariant. Mode is inferred from the entry
     types unless tol forces it (0 exact, positive float).
     """
-    values = list(raw)
+    values = tuple(raw)
     if not values:
         raise EmptyInputError("no entries given")
-    exact, tol_eff = resolve_mode(values, tol)
-    entries = [parse_scalar(v, exact) for v in values]
-    zero = entries[0] * 0
-    for e in entries:
-        if not geq(e, zero, tol_eff):
-            raise NegativeEntryError(f"negative entry {e!r}")
+    entries, tol = parse_values(values, tol)
     if normalize:
         total = sum(entries)
         if not total > 0:
-            raise NotNormalizedError("cannot normalize a zero-sum vector")
-        entries = [e / total for e in entries]
+            raise NotNormalizedError(f"cannot normalize entries that sum to {total!r}")
+        entries = tuple(e / total for e in entries)
     if sort:
-        entries.sort(reverse=True)
-    return OrderedProbVector(tuple(entries), tol_eff)
+        entries = tuple(sorted(entries, reverse=True))
+    _check_entries(entries, tol)
+    return _trusted(OrderedProbVector, entries=entries, tol=tol)
 
 
 def _check_dimension(d: object) -> int:

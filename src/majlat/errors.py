@@ -57,6 +57,10 @@ class DimensionTooLargeError(MajlatError):
     """Dimension exceeds the configured cap for combinatorial enumeration."""
 
 
+class TooManyDigitsError(MajlatError):
+    """A value has more digits than Python converts between integers and text."""
+
+
 class NegativeRadiusError(MajlatError):
     """Ball radius was negative."""
 

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 from .core import OrderedProbVector, _from_sums, _trusted, pair_tolerance
 from .errors import EmptyFamilyError, InvalidExtremalError, NotSortedError
-from .numeric import Scalar, check_tol, eq, geq, lt, parse_scalar
+from .numeric import Scalar, eq, geq, lt, parse_values
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,11 @@ class ExtremalFamily:
     def __post_init__(self):
         if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
             raise InvalidExtremalError(f"dimension must be a positive integer, got {self.d!r}")
-        tol = check_tol(self.tol)
-        exact = tol == 0
-        lower = tuple(parse_scalar(v, exact) for v in self.lower)
-        upper = tuple(parse_scalar(v, exact) for v in self.upper)
+        lower, upper = tuple(self.lower), tuple(self.upper)
         if len(lower) != self.d + 1 or len(upper) != self.d + 1:
             raise InvalidExtremalError("extrema maps must cover k = 0..d")
+        values, tol = parse_values(lower + upper, self.tol)
+        lower, upper = values[: self.d + 1], values[self.d + 1 :]
         zero = lower[0] * 0
         one = zero + 1
         if not (eq(lower[0], zero, tol) and eq(upper[0], zero, tol)):
@@ -87,7 +86,7 @@ class ExtremalFamily:
         for k in range(self.d + 1):
             if not geq(upper[k], lower[k], tol):
                 raise InvalidExtremalError(f"upper map below lower map at k={k}")
-            floor = Fraction(k, self.d) if exact else k / self.d
+            floor = Fraction(k, self.d) if tol == 0 else k / self.d
             if not geq(lower[k], floor, tol):
                 raise InvalidExtremalError(f"lower map dips below the uniform curve at k={k}")
         object.__setattr__(self, "lower", lower)

@@ -2,8 +2,9 @@
 
 A computation is either exact (Fraction values, tolerance 0) or float
 (float values, fixed tolerance tau); the two kinds never mix inside one
-value. All tolerant comparisons live here so the tie policy is uniform:
-a difference within tau counts as zero.
+value. The rule that picks the mode (resolve_mode) and all tolerant
+comparisons live here, so every entry point parses alike and the tie
+policy is uniform: a difference within tau counts as zero.
 """
 
 from __future__ import annotations
@@ -45,35 +46,30 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
         raise ParseError(f"not a float scalar: {value!r}") from exc
 
 
-def infer_exact(values: Sequence[object]) -> bool:
-    """True when no float appears; floats may not mix with exact kinds."""
-    has_float = any(type(v) is float for v in values)
-    if not has_float:
-        return True
-    if any(isinstance(v, (Fraction, str)) for v in values):
-        raise ModeMismatchError("floats mixed with exact values; pick one mode")
-    return False
-
-
-def check_tol(tol: object) -> float:
-    """A tolerance as a float: 0 for exact mode, finite and positive for float mode."""
-    t = float(tol)
-    if not 0 <= t < math.inf:  # NaN fails every comparison
-        raise ModeMismatchError(f"tolerance must be finite and non-negative, got {t!r}")
-    return t
-
-
 def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, float]:
     """Map (raw values, requested tolerance) to (exact?, effective tolerance).
 
-    tol None: exact unless floats appear (then the default tolerance).
-    tol 0: exact required. tol > 0: float mode with that tolerance.
+    This is the one mode rule. tol None: exact unless floats appear (then
+    the default tolerance); floats may not mix with strings or Fractions.
+    tol 0: exact, and floats are rejected. tol > 0: float mode with that
+    tolerance, and every value is converted to float.
     """
-    if tol is None:
-        exact = infer_exact(values)
-        return exact, 0.0 if exact else DEFAULT_FLOAT_TOL
-    t = check_tol(tol)
-    return t == 0, t
+    if tol is not None:
+        t = float(tol)
+        if not 0 <= t < math.inf:  # NaN fails every comparison
+            raise ModeMismatchError(f"tolerance must be finite and non-negative, got {t!r}")
+        return t == 0, t
+    if not any(type(v) is float for v in values):
+        return True, 0.0
+    if any(isinstance(v, (Fraction, str)) for v in values):
+        raise ModeMismatchError("floats mixed with exact values; pick one mode")
+    return False, DEFAULT_FLOAT_TOL
+
+
+def parse_values(values: Sequence[object], tol: float | None) -> tuple[tuple[Scalar, ...], float]:
+    """Every value parsed in the mode resolve_mode picks, and that mode's tolerance."""
+    exact, t = resolve_mode(values, tol)
+    return tuple(parse_scalar(v, exact) for v in values), t
 
 
 def leq(a: Scalar, b: Scalar, tol: float) -> bool:

@@ -14,19 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
-from .core import OrderedProbVector
+from .core import OrderedProbVector, _check_entries, _trusted
 from .errors import (
     AlphaMinOutOfRangeError,
     AlphaOutOfRangeError,
     BlockDimensionError,
+    EmptyInputError,
     InvalidStateSpecError,
+    NegativeEntryError,
     NegativeProbabilityError,
     ZeroDimensionError,
 )
 from .lattice import ExtremalFamily, as_family, family_inf, family_sup
-from .numeric import Scalar, cumulative_sums, geq, leq, lt, parse_scalar, resolve_mode
+from .numeric import cumulative_sums, leq, lt, parse_scalar, parse_values, resolve_mode
 
 
 class Direction(Enum):
@@ -64,34 +67,25 @@ class StateSpec:
         if len(given) != 1:
             raise InvalidStateSpecError(f"exactly one data field required, got {given or 'none'}")
         field = given[0]
-        object.__setattr__(self, field, tuple(getattr(self, field)))
+        data = tuple(getattr(self, field))
+        if not data:
+            raise EmptyInputError(f"{field} must not be empty")
+        object.__setattr__(self, field, data)
 
 
-def _amplitude_components(amplitudes: Sequence[object]) -> list[object]:
-    """Flatten amplitudes into scalar components for mode inference."""
-    parts: list[object] = []
+def _amplitude_components(amplitudes: Sequence[object]) -> list[tuple]:
+    """Each amplitude as its real components: (x,) or (re, im)."""
+    parts: list[tuple] = []
     for a in amplitudes:
         if isinstance(a, complex):
-            parts.append(float(a.real))
-            parts.append(float(a.imag))
+            parts.append((a.real, a.imag))
         elif isinstance(a, (tuple, list)):
             if len(a) != 2:
                 raise InvalidStateSpecError(f"amplitude pair needs (re, im), got {a!r}")
-            parts.extend(a)
+            parts.append(tuple(a))
         else:
-            parts.append(a)
+            parts.append((a,))
     return parts
-
-
-def _squared_modulus(a: object, exact: bool) -> Scalar:
-    if isinstance(a, complex):
-        re, im = parse_scalar(a.real, exact), parse_scalar(a.imag, exact)
-    elif isinstance(a, (tuple, list)):
-        re, im = parse_scalar(a[0], exact), parse_scalar(a[1], exact)
-    else:
-        value = parse_scalar(a, exact)
-        return value * value
-    return re * re + im * im
 
 
 def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | None = None) -> OrderedProbVector:
@@ -104,8 +98,10 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
             raise InvalidStateSpecError("purity takes a spectrum, not amplitudes")
-        exact, tol_eff = resolve_mode(_amplitude_components(spec.amplitudes), tol)
-        probs = [_squared_modulus(a, exact) for a in spec.amplitudes]
+        parts = _amplitude_components(spec.amplitudes)
+        values, tol = parse_values([c for part in parts for c in part], tol)
+        components = iter(values)  # each amplitude's squared modulus takes its own parts
+        probs = [sum(c * c for c in islice(components, len(part))) for part in parts]
     else:
         if spec.schmidt_probs is not None:
             if theory is not ResourceTheory.ENTANGLEMENT:
@@ -115,13 +111,13 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
             if theory is not ResourceTheory.PURITY:
                 raise InvalidStateSpecError("a spectrum belongs to purity")
             raw = spec.spectrum
-        exact, tol_eff = resolve_mode(raw, tol)
-        probs = [parse_scalar(p, exact) for p in raw]
-        zero = probs[0] * 0
-        for p in probs:
-            if not geq(p, zero, tol_eff):
-                raise NegativeProbabilityError(f"negative probability {p!r}")
-    return OrderedProbVector(tuple(sorted(probs, reverse=True)), tol_eff)
+        probs, tol = parse_values(raw, tol)
+    probs = tuple(sorted(probs, reverse=True))
+    try:
+        _check_entries(probs, tol)
+    except NegativeEntryError as exc:  # only given probabilities can be negative
+        raise NegativeProbabilityError(str(exc)) from exc
+    return _trusted(OrderedProbVector, entries=probs, tol=tol)
 
 
 def optimal_common_resource(family, theory: ResourceTheory) -> OrderedProbVector:

@@ -7,7 +7,6 @@ of the input, so identical calls produce byte-identical documents.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .core import LorenzCurve
 from .errors import DimensionMismatchError, EmptyInputError
@@ -99,13 +98,15 @@ def emit_lorenz_svg(curves: Sequence[tuple[str, LorenzCurve]]) -> str:
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
         ly = _TOP + 14 + 18 * idx
+        # escaped by hand: importing xml.sax.saxutils pulls in urllib, http and email
+        text = str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<rect x="{_fmt(WIDTH - _RIGHT + 14)}" y="{_fmt(ly - 9)}" width="14" height="10" '
             f'fill="{color}"/>'
         )
         parts.append(
             f'<text x="{_fmt(WIDTH - _RIGHT + 34)}" y="{_fmt(ly)}" font-family="monospace" '
-            f'font-size="12">{escape(str(label))}</text>'
+            f'font-size="12">{text}</text>'
         )
 
     parts.append("</svg>")

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import majlat
 from majlat import (
     DimensionMismatchError,
     EmptyInputError,
@@ -15,7 +21,7 @@ from majlat import (
     partial_sums,
     top,
 )
-from majlat.cli import main
+from majlat.cli import MESSAGE_LIMIT, main
 
 FIG_X = ["0.6", "0.16", "0.16", "0.08"]
 FIG_Y = ["0.5", "0.3", "0.1", "0.1"]
@@ -215,6 +221,27 @@ class TestExitCodes:
         path = write_vectors(tmp_path / "dim.json", [FIG_X, FIG_Y], d=3)
         assert run_cli("meet", "-i", str(path)) == 2
 
+    def test_result_too_large_to_print_is_three(self, tmp_path, capsys):
+        # the meet's second entry has a denominator of about 8000 digits
+        a, b = 10**4000 + 7, 10**4000 + 9
+        x = [Fraction(3, 5) + Fraction(1, a), Fraction(4, 25), Fraction(4, 25) - Fraction(1, a), Fraction(2, 25)]
+        y = [Fraction(1, 2) + Fraction(1, b), Fraction(3, 10) - Fraction(1, b), Fraction(1, 10), Fraction(1, 10)]
+        path = write_vectors(tmp_path / "huge.json", [[str(v) for v in x], [str(v) for v in y]])
+        assert run_cli("meet", "-i", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("majlat: unsupported: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("center, code", [
+        ("1" * 5000 + ",0", 2),  # an entry past the int-from-text digit limit
+        (f"1/3,{10**3000 + 1}/{3 * 10**3000}", 1),  # entries increase
+    ], ids=["long-literal", "long-unsorted-ratios"])
+    def test_error_line_is_bounded(self, center, code, capsys):
+        assert run_cli("ball", "--center", center, "--eps", "0.1") == code
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert len(err) <= MESSAGE_LIMIT + 1
+
 
 class TestSvg:
     def test_four_curves_four_polylines(self):
@@ -248,3 +275,11 @@ class TestSvg:
     def test_labels_are_escaped(self):
         text = emit_lorenz_svg([("a<b&c", partial_sums(top(2)))])
         assert "a&lt;b&amp;c" in text
+
+
+def test_import_loads_no_xml_or_network_modules():
+    heavy = ("xml.sax", "http.client", "email")
+    code = f"import sys, majlat.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(majlat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

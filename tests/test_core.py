@@ -18,6 +18,7 @@ from majlat import (
     NotNormalizedError,
     NotSortedError,
     OrderedProbVector,
+    ParseError,
     ZeroDimensionError,
     bottom,
     compare,
@@ -234,15 +235,42 @@ def test_vector_str_uses_canonical_strings():
     assert str(bottom(3)) == "[1/3, 1/3, 1/3]"
 
 
+HALF = Fraction(1, 2)
+
+# The same raw data, the vector [1/2, 1/2], through every entry point that
+# parses values; kind maps each exact value to the raw form under test.
 TOLERANT_BUILDERS = {
-    "make_vector": lambda tol: make_vector(["0.5", "0.5"], tol=tol),
-    "OrderedProbVector": lambda tol: OrderedProbVector((0.5, 0.5), tol),
-    "ExtremalFamily": lambda tol: ExtremalFamily(2, (0.0, 0.5, 1.0), (0.0, 1.0, 1.0), tol),
+    "make_vector": lambda kind, tol: make_vector([kind(HALF), kind(HALF)], tol=tol),
+    "OrderedProbVector": lambda kind, tol: OrderedProbVector((kind(HALF), kind(HALF)), tol),
+    "LorenzCurve": lambda kind, tol: LorenzCurve((kind(0), kind(HALF), kind(1)), tol),
+    "ExtremalFamily": lambda kind, tol: ExtremalFamily(
+        2, (kind(0), kind(HALF), kind(1)), (kind(0), kind(1), kind(1)), tol
+    ),
 }
+each_builder = pytest.mark.parametrize("build", TOLERANT_BUILDERS.values(), ids=TOLERANT_BUILDERS.keys())
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
-@pytest.mark.parametrize("build", TOLERANT_BUILDERS.values(), ids=TOLERANT_BUILDERS.keys())
+@each_builder
 def test_tolerance_must_be_finite_and_non_negative(build, tol):
     with pytest.raises(ModeMismatchError):
-        build(tol)
+        build(Fraction, tol)
+
+
+@each_builder
+def test_positive_tolerance_converts_fractions_to_floats(build):
+    built = build(Fraction, 1e-9)
+    scalars = [x for field in vars(built).values() if isinstance(field, tuple) for x in field]
+    assert scalars and all(type(x) is float for x in scalars)
+    assert built.tol == 1e-9
+
+
+@pytest.mark.parametrize("kind, tol, error", [
+    (float, 0, ModeMismatchError),
+    (bool, 0, ParseError),
+    (bool, 1e-9, ParseError),
+], ids=["float-exact", "bool-exact", "bool-float"])
+@each_builder
+def test_entry_kind_rejected(build, kind, tol, error):
+    with pytest.raises(error):
+        build(kind, tol)

@@ -10,6 +10,7 @@ from majlat import (
     AlphaOutOfRangeError,
     BlockDimensionError,
     Direction,
+    EmptyInputError,
     FiniteFamily,
     InvalidStateSpecError,
     MajOrdering,
@@ -83,6 +84,11 @@ class TestStateToVector:
             StateSpec()
         with pytest.raises(InvalidStateSpecError):
             StateSpec(amplitudes=["1"], spectrum=["1"])
+
+    @pytest.mark.parametrize("field", ["amplitudes", "schmidt_probs", "spectrum"])
+    def test_empty_data_rejected(self, field):
+        with pytest.raises(EmptyInputError):
+            StateSpec(**{field: []})
 
     def test_normalization_checked(self):
         with pytest.raises(NotNormalizedError):
