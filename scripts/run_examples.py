@@ -11,7 +11,6 @@ import pathlib
 
 from majlat import (
     Ball,
-    FiniteFamily,
     Polytope,
     ball_vertices,
     bottom,
@@ -82,8 +81,8 @@ def segment_example():
 def ball_example():
     center = make_vector(["0.525", "0.35", "0.125"])
     hull = ball_vertices(Ball(center, "0.15"))
-    low = family_inf(FiniteFamily(hull.vertices))
-    high = family_sup(FiniteFamily(hull.vertices))
+    low = family_inf(hull.vertices)
+    high = family_sup(hull.vertices)
     dump(
         "l1_ball",
         {

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     TooManyDigitsError,
 )
-from .lattice import FiniteFamily, family_inf, family_sup, join, meet
+from .lattice import family_inf, family_sup, join, meet
 from .numeric import DEFAULT_FLOAT_TOL, Scalar, scalar_str
 from .polytope import Ball, Polytope, ball_vertices, polytope_inf, polytope_sup
 from .resource_theory import ResourceTheory, optimal_common_resource
@@ -91,7 +91,9 @@ def _rows_from_file(path: str) -> list[list[object]]:
             if path.lower().endswith(".csv"):
                 return [[cell.strip() for cell in row] for row in csv.reader(handle) if row]
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # bad syntax, or an integer literal past the int-string digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except csv.Error as exc:
         raise ParseError(f"{path}: invalid CSV: {exc}") from exc
@@ -153,7 +155,7 @@ def run(args: argparse.Namespace) -> int:
     elif args.command in ("inf", "sup"):
         _expect(args, vectors, 1)
         op = family_inf if args.command == "inf" else family_sup
-        results = [op(FiniteFamily(tuple(vectors)))]
+        results = [op(vectors)]
     elif args.command == "polytope":
         _expect(args, vectors, 1)
         hull = Polytope(tuple(vectors))
@@ -171,7 +173,7 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "ocr":
         _expect(args, vectors, 1)
         theory = ResourceTheory(args.theory)
-        results = [optimal_common_resource(FiniteFamily(tuple(vectors)), theory)]
+        results = [optimal_common_resource(vectors, theory)]
     elif args.command == "lorenz":
         _expect(args, vectors, 1)
     else:  # pragma: no cover - argparse restricts the choices

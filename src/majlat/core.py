@@ -101,18 +101,7 @@ class LorenzCurve:
         if len(self.values) < 2:
             raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
         values, tol = parse_values(tuple(self.values), self.tol)
-        d = len(values) - 1
-        zero = values[0] * 0
-        if not eq(values[0], zero, tol):
-            raise BadEndpointsError(f"S_0 must be 0, got {values[0]!r}")
-        if not eq(values[-1], zero + 1, tol * d):
-            raise BadEndpointsError(f"S_d must be 1, got {values[-1]!r}")
-        for a, b in zip(values, values[1:]):
-            if not geq(b, a, tol):
-                raise NotMonotoneError(f"cumulative values decrease: {a!r} > {b!r}")
-        for k in range(1, d):
-            if not geq(values[k], (values[k - 1] + values[k + 1]) / 2, tol):
-                raise NotConcaveError(f"concavity fails at index {k}")
+        _check_cumulative(values, tol)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tol", tol)
 
@@ -146,6 +135,24 @@ def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
     total = sum(entries)
     if not eq(total, zero + 1, tol * len(entries)):
         raise NotNormalizedError(f"entries sum to {total!r}, expected 1")
+
+
+def _check_cumulative(values: Sequence[Scalar], tol: float, concave: bool = True) -> None:
+    """Endpoint, monotonicity and (optionally) concavity checks of parsed S_0..S_d."""
+    d = len(values) - 1
+    zero = values[0] * 0
+    if not eq(values[0], zero, tol):
+        raise BadEndpointsError(f"S_0 must be 0, got {values[0]!r}")
+    if not eq(values[-1], zero + 1, tol * d):
+        raise BadEndpointsError(f"S_d must be 1, got {values[-1]!r}")
+    for a, b in zip(values, values[1:]):
+        if not geq(b, a, tol):
+            raise NotMonotoneError(f"cumulative values decrease: {a!r} > {b!r}")
+    if not concave:
+        return
+    for k in range(1, d):
+        if not geq(values[k], (values[k - 1] + values[k + 1]) / 2, tol):
+            raise NotConcaveError(f"concavity fails at index {k}")
 
 
 def _trusted(cls, **fields):

@@ -5,10 +5,10 @@ concave curves is concave, so the differences are already sorted. The
 pairwise join repairs the max-prefix-sum differences by block averaging;
 the family supremum takes the least concave majorant of the max prefix
 sums. On two members these are independent algorithms for the same
-bound, and the tests hold them to agree. Arbitrary families enter either
-as explicit member lists or as per-index prefix-sum extrema (the only
-data the family bounds depend on, which is how continuously parametrized
-families are handled).
+bound, and the tests hold them to agree. A family is either a non-empty
+sequence of vectors or an ExtremalFamily: its per-index prefix-sum
+extrema, the only data the family bounds depend on, which is how
+continuously parametrized families are handled.
 
 Operands are validated once, when they are built; the kernels here trust
 them, and their outputs skip the public constructors' checks.
@@ -17,36 +17,18 @@ them, and their outputs skip the public constructors' checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .core import OrderedProbVector, _from_sums, _trusted, pair_tolerance
-from .errors import EmptyFamilyError, InvalidExtremalError, NotSortedError
-from .numeric import Scalar, eq, geq, lt, parse_values
-
-
-@dataclass(frozen=True)
-class FiniteFamily:
-    """Explicit non-empty list of same-dimension, same-mode vectors."""
-
-    members: tuple[OrderedProbVector, ...]
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise EmptyFamilyError("a family needs at least one member")
-        first = members[0]
-        for m in members[1:]:
-            pair_tolerance(first, m)  # raises on dimension or mode clash
-        object.__setattr__(self, "members", members)
-
-    @property
-    def d(self) -> int:
-        return self.members[0].d
-
-    @property
-    def tol(self) -> float:
-        return max(m.tol for m in self.members)
+from .core import OrderedProbVector, _check_cumulative, _from_sums, _trusted, pair_tolerance
+from .errors import (
+    BadEndpointsError,
+    EmptyFamilyError,
+    InvalidExtremalError,
+    NotConcaveError,
+    NotMonotoneError,
+    NotSortedError,
+)
+from .numeric import Scalar, geq, lt, parse_values
 
 
 @dataclass(frozen=True)
@@ -72,41 +54,44 @@ class ExtremalFamily:
             raise InvalidExtremalError("extrema maps must cover k = 0..d")
         values, tol = parse_values(lower + upper, self.tol)
         lower, upper = values[: self.d + 1], values[self.d + 1 :]
-        zero = lower[0] * 0
-        one = zero + 1
-        if not (eq(lower[0], zero, tol) and eq(upper[0], zero, tol)):
-            raise InvalidExtremalError("S_0 extrema must equal 0")
-        if not (eq(lower[-1], one, tol * self.d) and eq(upper[-1], one, tol * self.d)):
-            raise InvalidExtremalError("S_d extrema must equal 1")
-        for k in range(self.d):
-            if not geq(lower[k + 1], lower[k], tol):
-                raise InvalidExtremalError(f"lower map decreases at k={k + 1}")
-            if not geq(upper[k + 1], upper[k], tol):
-                raise InvalidExtremalError(f"upper map decreases at k={k + 1}")
+        # per-index infima of Lorenz curves are concave; suprema need not be
+        for name, sums, concave in (("lower", lower, True), ("upper", upper, False)):
+            try:
+                _check_cumulative(sums, tol, concave)
+            except (BadEndpointsError, NotMonotoneError, NotConcaveError) as exc:
+                raise InvalidExtremalError(f"{name} map: {exc}") from exc
         for k in range(self.d + 1):
             if not geq(upper[k], lower[k], tol):
                 raise InvalidExtremalError(f"upper map below lower map at k={k}")
-            floor = Fraction(k, self.d) if tol == 0 else k / self.d
-            if not geq(lower[k], floor, tol):
-                raise InvalidExtremalError(f"lower map dips below the uniform curve at k={k}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "tol", tol)
 
 
-VectorFamily = Union[FiniteFamily, ExtremalFamily]
+def _members(family: Sequence[OrderedProbVector]) -> tuple[tuple[OrderedProbVector, ...], float]:
+    """The members of a family, checked once: non-empty, one dimension, one mode."""
+    members = tuple(family)
+    if not members:
+        raise EmptyFamilyError("a family needs at least one member")
+    return members, max(pair_tolerance(members[0], m) for m in members)
+
+
+def _fold(family, pick) -> tuple[tuple[Scalar, ...], float]:
+    """Per-index prefix-sum minima (pick=min) or maxima (pick=max), and the tolerance."""
+    if isinstance(family, ExtremalFamily):
+        return (family.lower if pick is min else family.upper), family.tol
+    members, tol = _members(family)
+    return tuple(map(pick, zip(*(m.prefix_sums() for m in members)))), tol
 
 
 def meet(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
     """Greatest lower bound of x and y under majorization."""
-    tol = pair_tolerance(x, y)
-    return _from_sums(tuple(min(a, b) for a, b in zip(x.prefix_sums(), y.prefix_sums())), tol)
+    return family_inf((x, y))
 
 
 def join(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
     """Least upper bound via block-averaging repair of the raw differences."""
-    tol = pair_tolerance(x, y)
-    maxes = [max(a, b) for a, b in zip(x.prefix_sums(), y.prefix_sums())]
+    maxes, tol = _fold((x, y), max)
     z = [maxes[k + 1] - maxes[k] for k in range(x.d)]
     return _trusted(OrderedProbVector, entries=_flatten(z, tol), tol=tol)
 
@@ -167,37 +152,12 @@ def _upper_envelope(vals: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
     return tuple(env)
 
 
-def as_family(family) -> VectorFamily:
-    """Coerce a family argument: descriptors pass through, iterables wrap."""
-    if isinstance(family, (FiniteFamily, ExtremalFamily)):
-        return family
-    return FiniteFamily(tuple(family))
-
-
-def _fold(family: FiniteFamily, pick) -> tuple[Scalar, ...]:
-    sums = [m.prefix_sums() for m in family.members]
-    return tuple(pick(column) for column in zip(*sums))
-
-
 def family_inf(family) -> OrderedProbVector:
     """Greatest lower bound of a family: per-index prefix-sum infima, differenced."""
-    family = as_family(family)
-    if isinstance(family, FiniteFamily):
-        return _from_sums(_fold(family, min), family.tol)
-    lower, tol = family.lower, family.tol
-    for k in range(1, family.d):
-        if not geq(lower[k], (lower[k - 1] + lower[k + 1]) / 2, tol):
-            raise InvalidExtremalError(
-                "lower map is not concave; per-index infima of Lorenz curves always are"
-            )
-    return _from_sums(lower, tol)
+    return _from_sums(*_fold(family, min))
 
 
 def family_sup(family) -> OrderedProbVector:
     """Least upper bound of a family via the envelope of prefix-sum suprema."""
-    family = as_family(family)
-    if isinstance(family, FiniteFamily):
-        values, tol = _fold(family, max), family.tol
-    else:
-        values, tol = family.upper, family.tol
-    return _from_sums(_upper_envelope(values, tol), tol)
+    sums, tol = _fold(family, max)
+    return _from_sums(_upper_envelope(sums, tol), tol)

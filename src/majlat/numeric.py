@@ -26,6 +26,7 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
     Exact mode accepts decimal strings ("0.26"), ratio strings ("13/50"),
     ints, and Fractions; those conversions are lossless. Floats are
     rejected there so binary rounding cannot leak into exact results.
+    Float mode accepts finite values only.
     """
     if isinstance(value, bool):
         raise ParseError(f"not a scalar: {value!r}")
@@ -39,11 +40,12 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ParseError(f"not an exact scalar: {value!r}") from exc
     try:
-        if isinstance(value, str):
-            return float(Fraction(value))
-        return float(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        x = float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParseError(f"not a float scalar: {value!r}") from exc
+    if not math.isfinite(x):
+        raise ParseError(f"not a finite float: {value!r}")
+    return x
 
 
 def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, float]:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .core import OrderedProbVector
 from .errors import DimensionTooLargeError, EmptyFamilyError, NegativeRadiusError
-from .lattice import FiniteFamily, family_inf, family_sup
+from .lattice import _members, family_inf, family_sup
 from .numeric import Scalar, geq, leq, parse_scalar, solve_square
 
 MAX_DIMENSION = 10  # vertex enumeration cost explodes beyond this
@@ -34,8 +34,7 @@ class Polytope:
     vertices: tuple[OrderedProbVector, ...]
 
     def __post_init__(self):
-        members = FiniteFamily(tuple(self.vertices)).members  # validates d and mode
-        tol = max(m.tol for m in members)
+        members, tol = _members(self.vertices)
         unique: list[OrderedProbVector] = []
         for v in members:
             duplicate = any(
@@ -75,12 +74,12 @@ def polytope_inf(p: Polytope) -> OrderedProbVector:
 
     The result need not belong to the polytope.
     """
-    return family_inf(FiniteFamily(p.vertices))
+    return family_inf(p.vertices)
 
 
 def polytope_sup(p: Polytope) -> OrderedProbVector:
     """Least upper bound of the whole hull; the fold over its vertices."""
-    return family_sup(FiniteFamily(p.vertices))
+    return family_sup(p.vertices)
 
 
 def ball_vertices(ball: Ball) -> Polytope:

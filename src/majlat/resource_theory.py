@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_entries, _trusted
+from .core import OrderedProbVector, _check_dimension, _check_entries, _trusted
 from .errors import (
     AlphaMinOutOfRangeError,
     AlphaOutOfRangeError,
@@ -26,10 +25,9 @@ from .errors import (
     InvalidStateSpecError,
     NegativeEntryError,
     NegativeProbabilityError,
-    ZeroDimensionError,
 )
-from .lattice import ExtremalFamily, as_family, family_inf, family_sup
-from .numeric import cumulative_sums, leq, lt, parse_scalar, parse_values, resolve_mode
+from .lattice import ExtremalFamily, family_inf, family_sup
+from .numeric import cumulative_sums, leq, lt, parse_values
 
 
 class Direction(Enum):
@@ -128,23 +126,19 @@ def optimal_common_resource(family, theory: ResourceTheory) -> OrderedProbVector
     every target majorizes it. Any state mapping to the returned vector
     is an optimal common resource.
     """
-    family = as_family(family)
     if theory.direction is Direction.DIRECT:
         return family_sup(family)
     return family_inf(family)
 
 
 def _check_alpha(alpha: object, d: int, tol: float | None):
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ZeroDimensionError(f"dimension must be a positive integer, got {d!r}")
-    exact, tol_eff = resolve_mode((alpha,), tol)
-    a = parse_scalar(alpha, exact)
+    _check_dimension(d)
+    (a,), tol_eff = parse_values((alpha,), tol)
     zero = a * 0
     one = zero + 1
-    floor = Fraction(1, d) if exact else 1.0 / d
-    if not (lt(zero, a, tol_eff) and leq(a, one, tol_eff) and lt(floor, a * a, tol_eff)):
+    if not (lt(zero, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
         raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {a!r}")
-    return a * a, exact, tol_eff
+    return a * a, tol_eff
 
 
 def ocr_first_component_bound(alpha, d: int, *, tol: float | None = None) -> OrderedProbVector:
@@ -153,7 +147,7 @@ def ocr_first_component_bound(alpha, d: int, *, tol: float | None = None) -> Ord
     The infimum of {x sorted : x_1 >= alpha^2} puts alpha^2 first and
     spreads the remainder uniformly.
     """
-    a2, _, tol_eff = _check_alpha(alpha, d, tol)
+    a2, tol_eff = _check_alpha(alpha, d, tol)
     tail = (1 - a2) / (d - 1)  # d >= 2 is forced by alpha^2 > 1/d with alpha <= 1
     return OrderedProbVector((a2,) + (tail,) * (d - 1), tol_eff)
 
@@ -164,12 +158,12 @@ def first_component_family(alpha, d: int, *, tol: float | None = None) -> Extrem
     The infima trace the flat-tail member with first entry alpha^2; the
     suprema are 1 from k = 1 on (the point mass belongs to the family).
     """
-    a2, exact, tol_eff = _check_alpha(alpha, d, tol)
+    a2, tol_eff = _check_alpha(alpha, d, tol)
     tail = (1 - a2) / (d - 1)
     lower = (a2 * 0,) + tuple(a2 + tail * k for k in range(d))
     one = a2 * 0 + 1
     upper = (a2 * 0,) + (one,) * d
-    return ExtremalFamily(d, lower, upper, 0.0 if exact else tol_eff)
+    return ExtremalFamily(d, lower, upper, tol_eff)
 
 
 def _check_blocks(d1: object, d: object, alpha_min_sq, tol: float | None):
@@ -178,13 +172,11 @@ def _check_blocks(d1: object, d: object, alpha_min_sq, tol: float | None):
             raise BlockDimensionError(f"block sizes must be integers, got {value!r}")
     if not 1 <= d1 < d:
         raise BlockDimensionError(f"need 1 <= d1 < d, got d1={d1}, d={d}")
-    exact, tol_eff = resolve_mode((alpha_min_sq,), tol)
-    q = parse_scalar(alpha_min_sq, exact)
-    floor = Fraction(d1, d) if exact else d1 / d
+    (q,), tol_eff = parse_values((alpha_min_sq,), tol)
     one = q * 0 + 1
-    if not (lt(floor, q, tol_eff) and leq(q, one, tol_eff)):
+    if not (lt(one * d1 / d, q, tol_eff) and leq(q, one, tol_eff)):
         raise AlphaMinOutOfRangeError(f"need {d1}/{d} < alpha_min_sq <= 1, got {q!r}")
-    return q, exact, tol_eff
+    return q, tol_eff
 
 
 def ocr_two_block_superposition(d1: int, d: int, alpha_min_sq, *, tol: float | None = None) -> OrderedProbVector:
@@ -194,7 +186,7 @@ def ocr_two_block_superposition(d1: int, d: int, alpha_min_sq, *, tol: float | N
     1 - a over the rest, with a ranging over [alpha_min_sq, 1]; the
     infimum is the member at a = alpha_min_sq.
     """
-    q, _, tol_eff = _check_blocks(d1, d, alpha_min_sq, tol)
+    q, tol_eff = _check_blocks(d1, d, alpha_min_sq, tol)
     head = q / d1
     tail = (1 - q) / (d - d1)  # head >= tail exactly because q > d1/d
     return OrderedProbVector((head,) * d1 + (tail,) * (d - d1), tol_eff)
@@ -206,10 +198,10 @@ def two_block_family(d1: int, d: int, alpha_min_sq, *, tol: float | None = None)
     Every S_k is non-decreasing in the block weight a, so the infima sit
     at a = alpha_min_sq and the suprema at a = 1.
     """
-    q, exact, tol_eff = _check_blocks(d1, d, alpha_min_sq, tol)
+    q, tol_eff = _check_blocks(d1, d, alpha_min_sq, tol)
     head = q / d1
     tail = (1 - q) / (d - d1)
     lower = cumulative_sums((head,) * d1 + (tail,) * (d - d1))
     one = q * 0 + 1
-    upper = tuple(min(Fraction(k, d1) if exact else k / d1, one) for k in range(d + 1))
-    return ExtremalFamily(d, lower, upper, 0.0 if exact else tol_eff)
+    upper = tuple(min(one * k / d1, one) for k in range(d + 1))
+    return ExtremalFamily(d, lower, upper, tol_eff)

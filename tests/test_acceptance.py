@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from majlat import (
     Ball,
-    FiniteFamily,
     Polytope,
     ball_vertices,
     family_inf,
@@ -73,9 +72,9 @@ def test_criterion_2_segment_polytope_reproduction():
 def test_criterion_3_ball_reproduction():
     ball = Ball(make_vector(["0.525", "0.35", "0.125"]), "0.15")
     hull = ball_vertices(ball)
-    assert family_inf(FiniteFamily(hull.vertices)).entries == (
+    assert family_inf(hull.vertices).entries == (
         Fraction(9, 20), Fraction(7, 20), Fraction(1, 5))
-    assert family_sup(FiniteFamily(hull.vertices)).entries == (
+    assert family_sup(hull.vertices).entries == (
         Fraction(3, 5), Fraction(7, 20), Fraction(1, 20))
     _report(3, "l1-ball vertex route reproduces infimum/supremum bit-exact")
 
@@ -119,7 +118,7 @@ def _two_block_members(alpha_min_sq, d1, d, step):
 def _convergence_gaps(closed, member_builder, steps):
     gaps = []
     for step in steps:
-        sampled = family_inf(FiniteFamily(tuple(member_builder(step))))
+        sampled = family_inf(member_builder(step))
         assert majorizes(sampled, closed)  # refinement approaches from above
         gaps.append(max(
             sa - sc for sa, sc in zip(sampled.prefix_sums(), closed.prefix_sums())

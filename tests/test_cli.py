@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import majlat
 from majlat import (
@@ -241,6 +246,73 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1
         assert len(err) <= MESSAGE_LIMIT + 1
+
+
+    @pytest.mark.parametrize("name, text", [
+        ("big.csv", "1e400,0\n0.5,0.5\n"),
+        ("big.json", '{"vectors": [[1e400, 0], [0.5, 0.5]]}'),
+        ("nan.json", '{"vectors": [[NaN, 0], [0.5, 0.5]]}'),
+    ], ids=["csv-overflow", "json-overflow", "json-nan"])
+    def test_non_finite_float_entry_is_two(self, tmp_path, name, text, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("meet", "--mode", "float", "-i", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("majlat: not a") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, data", [
+        ("latin1.json", '{"vectors": [["0.5", "0.5"], ["1", "0"]], "note": "caf\xe9"}'.encode("latin-1")),
+        ("latin1.csv", "0.5,0.5\n1,0\ncaf\xe9\n".encode("latin-1")),
+        ("long-int.json", ('{"vectors": [[' + "1" * 5000 + ", 0], [1, 0]]}").encode()),
+    ], ids=["json-not-utf8", "csv-not-utf8", "json-int-past-digit-limit"])
+    def test_unreadable_file_is_two(self, tmp_path, name, data, capsys):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run_cli("meet", "-i", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"majlat: {path}: ") and err.count("\n") == 1
+
+
+# Inputs for the failure-contract fuzz test: vectors of at most 6 entries,
+# mixing well-formed rows with odd entry types, odd "d" values and
+# arbitrary JSON or CSV documents.
+_VALID_ROWS = [FIG_X, FIG_Y, ["1"], ["1/2", "1/2"], ["0.5", "0.3", "0.2"], ["0.4", "0.4", "0.2"]]
+_cells = st.sampled_from(["0", "1", "0.5", "1/2", "2/3", "-0.1", "1/0", "1e400", "nan", "inf", ""])
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_entries = _cells | st.integers(-3, 3) | st.floats() | st.booleans() | st.none() | st.lists(_cells, max_size=2)
+_rows = st.lists(st.sampled_from(_VALID_ROWS) | st.lists(_entries, max_size=6), max_size=4)
+_json_documents = st.fixed_dictionaries(
+    {"vectors": _rows}, optional={"d": st.integers(-1, 7) | _json_scalars}
+) | st.recursive(
+    _json_scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_csv_cells = _cells | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_csv_texts = st.lists(st.sampled_from(_VALID_ROWS) | st.lists(_csv_cells, max_size=6), max_size=4).map(
+    lambda rows: "".join(",".join(row) + "\n" for row in rows)
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_inputs = _json_documents.map(lambda doc: ("in.json", json.dumps(doc))) | _csv_texts.map(lambda t: ("in.csv", t))
+_FUZZ_COMMANDS = {
+    "compare": [], "meet": [], "join": [], "inf": [], "sup": [],
+    "polytope": ["--inf"], "ocr": ["--theory", "coherence"],
+}
+
+
+@pytest.mark.parametrize("command", _FUZZ_COMMANDS)
+@given(given_input=_inputs, mode=st.sampled_from(["exact", "float"]), sort=st.booleans(), normalize=st.booleans())
+def test_failure_contract_holds_for_any_input(command, given_input, mode, sort, normalize):
+    name, text = given_input
+    argv = [command, *_FUZZ_COMMANDS[command], "--mode", mode]
+    argv += ["--sort"] * sort + ["--normalize"] * normalize
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["-i", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert stderr.getvalue().count("\n") == 1 and not stdout.getvalue()
 
 
 class TestSvg:

@@ -230,6 +230,17 @@ def test_parse_scalar_rejects_float_in_exact_mode():
         parse_scalar(0.5, True)
 
 
+@pytest.mark.parametrize("raw", [
+    [math.inf, 0.0],
+    [math.nan, 0.0],
+    ["1e400", "0"],
+    [10**400, 0],
+], ids=["inf", "nan", "overflowing-decimal", "overflowing-int"])
+def test_float_mode_rejects_non_finite_values(raw):
+    with pytest.raises(ParseError):
+        make_vector(raw, tol=1e-12)
+
+
 def test_vector_str_uses_canonical_strings():
     assert str(make_vector(FIG_X)) == "[0.6, 0.16, 0.16, 0.08]"
     assert str(bottom(3)) == "[1/3, 1/3, 1/3]"

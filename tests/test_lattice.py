@@ -6,13 +6,15 @@ import pytest
 from hypothesis import example, given
 
 from majlat import (
+    DimensionMismatchError,
     EmptyFamilyError,
     ExtremalFamily,
-    FiniteFamily,
     InvalidExtremalError,
     LorenzCurve,
+    ModeMismatchError,
     OrderedProbVector,
     Polytope,
+    ResourceTheory,
     bottom,
     compare,
     curve_to_vector,
@@ -22,6 +24,7 @@ from majlat import (
     majorizes,
     make_vector,
     meet,
+    optimal_common_resource,
     partial_sums,
     polytope_inf,
     polytope_sup,
@@ -167,33 +170,32 @@ class TestUpperEnvelope:
 class TestFamilies:
     def test_two_member_family_matches_pairwise(self):
         x, y = make_vector(FIG_X), make_vector(FIG_Y)
-        family = FiniteFamily((x, y))
+        family = (x, y)
         assert family_inf(family) == meet(x, y)
         assert family_sup(family) == join(x, y)
 
     def test_segment_vertices_example(self):
-        family = FiniteFamily((make_vector(["0.5", "0.4", "0.1"]),
-                               make_vector(["0.55", "0.3", "0.15"])))
+        family = (make_vector(["0.5", "0.4", "0.1"]), make_vector(["0.55", "0.3", "0.15"]))
         assert family_inf(family).entries == (Fraction(1, 2), Fraction(7, 20), Fraction(3, 20))
         assert family_sup(family).entries == (Fraction(11, 20), Fraction(7, 20), Fraction(1, 10))
 
     @given(vectors())
     def test_singleton(self, v):
-        assert family_inf(FiniteFamily((v,))) == v
-        assert family_sup(FiniteFamily((v,))) == v
+        assert family_inf((v,)) == v
+        assert family_sup((v,)) == v
 
     @given(vector_families(min_size=2, max_size=4))
     def test_family_bounds_members(self, members):
-        low = family_inf(FiniteFamily(members))
-        high = family_sup(FiniteFamily(members))
+        low = family_inf(members)
+        high = family_sup(members)
         for m in members:
             assert majorizes(m, low)
             assert majorizes(high, m)
 
     @given(vector_families(min_size=2, max_size=4))
     def test_adding_a_member_is_monotone(self, members):
-        smaller = FiniteFamily(members[:-1])
-        larger = FiniteFamily(members)
+        smaller = members[:-1]
+        larger = members
         assert majorizes(family_inf(smaller), family_inf(larger))
         assert majorizes(family_sup(larger), family_sup(smaller))
 
@@ -203,12 +205,21 @@ class TestFamilies:
         high = members[0]
         for m in members[1:]:
             low, high = meet(low, m), join(high, m)
-        assert family_inf(FiniteFamily(members)) == low
-        assert family_sup(FiniteFamily(members)) == high
+        assert family_inf(members) == low
+        assert family_sup(members) == high
 
     def test_empty_family_rejected(self):
-        with pytest.raises(EmptyFamilyError):
-            FiniteFamily(())
+        for build in (family_inf, family_sup, Polytope):
+            with pytest.raises(EmptyFamilyError):
+                build(())
+
+    def test_member_clash_rejected(self):
+        clashes = [((top(3), top(4)), DimensionMismatchError), ((top(3), top(3).to_float()), ModeMismatchError)]
+        for members, error in clashes:
+            for build in (family_inf, family_sup, Polytope, lambda m: meet(*m), lambda m: join(*m),
+                          lambda m: optimal_common_resource(m, ResourceTheory.COHERENCE)):
+                with pytest.raises(error):
+                    build(members)
 
     def test_uniform_extremal_lower_bound(self):
         d = 4
@@ -227,20 +238,17 @@ class TestFamilies:
             ExtremalFamily(3, good[:-1], ones)
         with pytest.raises(InvalidExtremalError):  # lower above upper
             ExtremalFamily(3, ones, good)
-        with pytest.raises(InvalidExtremalError):  # below uniform curve
+        with pytest.raises(InvalidExtremalError):  # below the uniform curve, so not concave
             ExtremalFamily(3, (0, Fraction(1, 10), Fraction(2, 3), 1), ones)
         with pytest.raises(InvalidExtremalError):  # non-monotone upper
             ExtremalFamily(3, good, (0, Fraction(2, 3), Fraction(1, 2), 1))
 
     def test_non_concave_lower_map_rejected_at_inf(self):
         # monotone and above the uniform curve, yet no family of Lorenz
-        # curves can have these per-index infima
-        family = ExtremalFamily(
-            3, (0, Fraction(1, 2), Fraction(7, 10), 1), (Fraction(0),) + (Fraction(1),) * 3
-        )
+        # curves can have these per-index infima; the family is rejected
+        # where it is built
         with pytest.raises(InvalidExtremalError):
-            family_inf(family)
-        family_sup(family)  # the supremum route has no such constraint
+            ExtremalFamily(3, (0, Fraction(1, 2), Fraction(7, 10), 1), (Fraction(0),) + (Fraction(1),) * 3)
 
     def test_family_accepts_plain_sequences(self):
         x, y = make_vector(FIG_X), make_vector(FIG_Y)

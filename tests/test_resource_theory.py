@@ -11,7 +11,6 @@ from majlat import (
     BlockDimensionError,
     Direction,
     EmptyInputError,
-    FiniteFamily,
     InvalidStateSpecError,
     MajOrdering,
     NegativeProbabilityError,
@@ -172,7 +171,7 @@ class TestFirstComponentBound:
                 members.append(make_vector([a] + [tail] * (d - 1)))
                 a += step
             members.append(top(d))
-            sampled = family_inf(FiniteFamily(tuple(members)))
+            sampled = family_inf(members)
             assert majorizes(sampled, closed)
             gap = max(
                 sa - sc
@@ -225,7 +224,7 @@ class TestTwoBlockSuperposition:
             head, tail = a / d1, (1 - a) / (d - d1)
             members.append(make_vector([head] * d1 + [tail] * (d - d1), sort=True))
             a += Fraction(1, 50)
-        assert family_inf(FiniteFamily(tuple(members))) == closed
+        assert family_inf(members) == closed
 
     def test_block_dimensions_enforced(self):
         with pytest.raises(BlockDimensionError):
