@@ -3,7 +3,7 @@
 
 Covers the three standard pictures: an incomparable pair in dimension 4
 with its meet and join, a two-vertex segment polytope in dimension 3, and
-an l1 ball whose extreme points give the steepest/flattest bounds.
+an l1 ball with its vertices and its steepest/flattest bounds.
 """
 
 import json
@@ -15,8 +15,7 @@ from majlat import (
     ball_vertices,
     bottom,
     emit_lorenz_svg,
-    family_inf,
-    family_sup,
+    flattest_approx,
     join,
     make_vector,
     meet,
@@ -24,6 +23,7 @@ from majlat import (
     polytope_inf,
     polytope_sup,
     scalar_str,
+    steepest_approx,
     top,
 )
 
@@ -80,9 +80,9 @@ def segment_example():
 
 def ball_example():
     center = make_vector(["0.525", "0.35", "0.125"])
-    hull = ball_vertices(Ball(center, "0.15"))
-    low = family_inf(hull.vertices)
-    high = family_sup(hull.vertices)
+    ball = Ball(center, "0.15")
+    hull = ball_vertices(ball)
+    low, high = flattest_approx(ball), steepest_approx(ball)
     dump(
         "l1_ball",
         {

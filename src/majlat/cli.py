@@ -4,7 +4,7 @@ Commands: compare, meet, join, inf, sup, polytope, ball, ocr, lorenz.
 Inputs are JSON ({"d": ..., "vectors": [["0.6", ...], ...]}) or CSV (one
 vector per row); entries travel as decimal or ratio strings so exact mode
 stays exact. Exit codes: 0 success, 1 validation error, 2 I/O or parse
-error, 3 unsupported (dimension above the enumeration cap, or a result
+error, 3 unsupported (ball vertex listing above the cap, or a result
 value too large to print).
 """
 
@@ -27,7 +27,15 @@ from .errors import (
 )
 from .lattice import family_inf, family_sup, join, meet
 from .numeric import DEFAULT_FLOAT_TOL, Scalar, scalar_str
-from .polytope import Ball, Polytope, ball_vertices, polytope_inf, polytope_sup
+from .polytope import (
+    Ball,
+    Polytope,
+    ball_vertices,
+    flattest_approx,
+    polytope_inf,
+    polytope_sup,
+    steepest_approx,
+)
 from .resource_theory import ResourceTheory, optimal_common_resource
 from .svg import emit_lorenz_svg
 
@@ -41,7 +49,7 @@ _COMMANDS = {
     "inf": "family infimum of one or more vectors",
     "sup": "family supremum of one or more vectors",
     "polytope": "infimum or supremum of the hull of the given vertices",
-    "ball": "l1-ball vertices, or their infimum/supremum",
+    "ball": "l1-ball vertices, or the ball's infimum/supremum",
     "ocr": "optimal common resource of the given targets",
     "lorenz": "plot Lorenz curves of the given vectors",
 }
@@ -163,13 +171,12 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "ball":
         _expect(args, vectors, 1, 1)
         ball = Ball(vectors[0], args.eps)  # Ball parses the string in the center's mode
-        hull = ball_vertices(ball)
         if args.which == "inf":
-            results = [polytope_inf(hull)]
+            results = [flattest_approx(ball)]
         elif args.which == "sup":
-            results = [polytope_sup(hull)]
+            results = [steepest_approx(ball)]
         else:
-            results = list(hull.vertices)
+            results = list(ball_vertices(ball).vertices)
     elif args.command == "ocr":
         _expect(args, vectors, 1)
         theory = ResourceTheory(args.theory)

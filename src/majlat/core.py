@@ -35,6 +35,7 @@ from .numeric import (
     parse_values,
     resolve_mode,
     scalar_str,
+    shown,
 )
 
 
@@ -128,13 +129,13 @@ def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
     zero = entries[0] * 0
     for e in entries:
         if not geq(e, zero, tol):
-            raise NegativeEntryError(f"negative entry {e!r}")
+            raise NegativeEntryError(f"negative entry {shown(e)}")
     for a, b in zip(entries, entries[1:]):
         if not geq(a, b, tol):
-            raise NotSortedError(f"entries increase: {a!r} < {b!r}")
+            raise NotSortedError(f"entries increase: {shown(a)} < {shown(b)}")
     total = sum(entries)
     if not eq(total, zero + 1, tol * len(entries)):
-        raise NotNormalizedError(f"entries sum to {total!r}, expected 1")
+        raise NotNormalizedError(f"entries sum to {shown(total)}, expected 1")
 
 
 def _check_cumulative(values: Sequence[Scalar], tol: float, concave: bool = True) -> None:
@@ -142,12 +143,12 @@ def _check_cumulative(values: Sequence[Scalar], tol: float, concave: bool = True
     d = len(values) - 1
     zero = values[0] * 0
     if not eq(values[0], zero, tol):
-        raise BadEndpointsError(f"S_0 must be 0, got {values[0]!r}")
+        raise BadEndpointsError(f"S_0 must be 0, got {shown(values[0])}")
     if not eq(values[-1], zero + 1, tol * d):
-        raise BadEndpointsError(f"S_d must be 1, got {values[-1]!r}")
+        raise BadEndpointsError(f"S_d must be 1, got {shown(values[-1])}")
     for a, b in zip(values, values[1:]):
         if not geq(b, a, tol):
-            raise NotMonotoneError(f"cumulative values decrease: {a!r} > {b!r}")
+            raise NotMonotoneError(f"cumulative values decrease: {shown(a)} > {shown(b)}")
     if not concave:
         return
     for k in range(1, d):
@@ -187,7 +188,7 @@ def make_vector(
     if normalize:
         total = sum(entries)
         if not total > 0:
-            raise NotNormalizedError(f"cannot normalize entries that sum to {total!r}")
+            raise NotNormalizedError(f"cannot normalize entries that sum to {shown(total)}")
         entries = tuple(e / total for e in entries)
     if sort:
         entries = tuple(sorted(entries, reverse=True))

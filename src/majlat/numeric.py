@@ -10,6 +10,7 @@ policy is uniform: a difference within tau counts as zero.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -100,6 +101,18 @@ def cumulative_sums(entries: Sequence[Scalar]) -> tuple[Scalar, ...]:
         acc = acc + e
         out.append(acc)
     return tuple(out)
+
+
+def shown(value: object) -> str:
+    """repr of a value for an error message; never raises.
+
+    repr of a Fraction or int past the int-to-text digit limit raises
+    ValueError, which would replace the error being reported.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<a number with more than {sys.get_int_max_str_digits()} digits>"
 
 
 def scalar_str(value: Scalar) -> str:

@@ -3,9 +3,12 @@
 Prefix sums of any hull point are convex combinations of vertex prefix
 sums, so the infimum/supremum of a whole polytope equals the family
 infimum/supremum of its vertex list. The l1 ball around a sorted vector
-(clipped to the ordered simplex) is such a polytope; enumerating its
-vertices reduces the steepest/flattest approximate-majorization bounds to
-the same vertex fold.
+(clipped to the ordered simplex) is such a polytope, and ball_vertices
+lists its vertices. Its supremum and infimum, the steepest and flattest
+approximations, have O(d) closed forms (Horodecki, Oppenheim &
+Sparaciari, J. Phys. A 51, 305301, 2018) and need no enumeration: sorting
+never increases the l1 distance to a sorted center, so their bounds over
+the whole simplex are the bounds over the ordered simplex.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import OrderedProbVector
+from .core import OrderedProbVector, _trusted, bottom
 from .errors import DimensionTooLargeError, EmptyFamilyError, NegativeRadiusError
 from .lattice import _members, family_inf, family_sup
-from .numeric import Scalar, geq, leq, parse_scalar, solve_square
+from .numeric import Scalar, geq, leq, parse_scalar, shown, solve_square
 
-MAX_DIMENSION = 10  # vertex enumeration cost explodes beyond this
+MAX_DIMENSION = 10  # vertex listing cost explodes beyond this; the bounds need no cap
 
 
 def _l1(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
@@ -65,7 +68,7 @@ class Ball:
     def __post_init__(self):
         radius = parse_scalar(self.radius, self.center.is_exact)
         if radius < 0:
-            raise NegativeRadiusError(f"radius must be non-negative, got {radius!r}")
+            raise NegativeRadiusError(f"radius must be non-negative, got {shown(radius)}")
         object.__setattr__(self, "radius", radius)
 
 
@@ -106,11 +109,11 @@ def ball_vertices(ball: Ball) -> Polytope:
     d = center.d
     if d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"dimension {d} above enumeration cap {MAX_DIMENSION}")
+    if _is_point(ball):
+        return Polytope((center,))
     tol = center.tol
     exact = center.is_exact
     eps = ball.radius
-    if eps == 0 or (not exact and eps <= tol):
-        return Polytope((center,))
     x0 = center.entries
     zero = x0[0] * 0
     candidates: list[tuple[Scalar, ...]] = []
@@ -163,11 +166,59 @@ def _feasible(x: Sequence[Scalar], x0: Sequence[Scalar], eps: Scalar, tol: float
     return geq(x[-1], x[0] * 0, tol)
 
 
+def _is_point(ball: Ball) -> bool:
+    """Radius 0, or within tol of 0 in float mode: the ball is its center."""
+    return leq(ball.radius, 0, ball.center.tol)
+
+
 def steepest_approx(ball: Ball) -> OrderedProbVector:
-    """Most concentrated vector within reach: majorizes every ball member."""
-    return polytope_sup(ball_vertices(ball))
+    """Most concentrated vector within reach: majorizes every ball member.
+
+    Moves radius/2 onto the largest entry, at most up to 1, and takes the
+    same mass from the tail, smallest entries first. O(d).
+    """
+    center = ball.center
+    if _is_point(ball):
+        return center
+    out = list(center.entries)
+    move = min(ball.radius / 2, 1 - out[0])
+    out[0] += move
+    for i in range(len(out) - 1, 0, -1):
+        if not move:
+            break
+        take = min(move, out[i])
+        out[i] -= take
+        move -= take
+    return _trusted(OrderedProbVector, entries=tuple(out), tol=center.tol)
 
 
 def flattest_approx(ball: Ball) -> OrderedProbVector:
-    """Least concentrated vector within reach: majorized by every ball member."""
-    return polytope_inf(ball_vertices(ball))
+    """Least concentrated vector within reach: majorized by every ball member.
+
+    Lowers the largest entries to one level and raises the smallest to
+    another, moving radius/2 each way; once radius/2 covers the mass above
+    1/d, the uniform vector is within reach. O(d).
+    """
+    center = ball.center
+    if _is_point(ball):
+        return center
+    x = center.entries
+    half = ball.radius / 2
+    uniform = bottom(center.d, tol=center.tol)
+    share = uniform.entries[0]
+    if half >= sum(e - share for e in x if e > share):
+        return uniform
+    ceiling = _water_level(x, half)
+    floor = -_water_level(tuple(-e for e in reversed(x)), half)  # raising the smallest lowers the largest of -x
+    entries = tuple(min(max(e, floor), ceiling) for e in x)
+    return _trusted(OrderedProbVector, entries=entries, tol=center.tol)
+
+
+def _water_level(entries: Sequence[Scalar], half: Scalar) -> Scalar:
+    """Level to which the largest of non-increasing entries drop when half is taken off them."""
+    head = entries[0] * 0
+    for k, e in enumerate(entries, 1):
+        head += e
+        level = (head - half) / k
+        if k == len(entries) or entries[k] <= level:
+            return level

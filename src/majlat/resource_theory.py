@@ -27,7 +27,7 @@ from .errors import (
     NegativeProbabilityError,
 )
 from .lattice import ExtremalFamily, family_inf, family_sup
-from .numeric import cumulative_sums, leq, lt, parse_values
+from .numeric import cumulative_sums, leq, lt, parse_values, shown
 
 
 class Direction(Enum):
@@ -137,7 +137,7 @@ def _check_alpha(alpha: object, d: int, tol: float | None):
     zero = a * 0
     one = zero + 1
     if not (lt(zero, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
-        raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {a!r}")
+        raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(a)}")
     return a * a, tol_eff
 
 
@@ -175,7 +175,7 @@ def _check_blocks(d1: object, d: object, alpha_min_sq, tol: float | None):
     (q,), tol_eff = parse_values((alpha_min_sq,), tol)
     one = q * 0 + 1
     if not (lt(one * d1 / d, q, tol_eff) and leq(q, one, tol_eff)):
-        raise AlphaMinOutOfRangeError(f"need {d1}/{d} < alpha_min_sq <= 1, got {q!r}")
+        raise AlphaMinOutOfRangeError(f"need {d1}/{d} < alpha_min_sq <= 1, got {shown(q)}")
     return q, tol_eff
 
 

@@ -204,6 +204,23 @@ class TestExitCodes:
         center = ",".join(["1/11"] * 11)
         assert run_cli("ball", "--center", center, "--eps", "0.1") == 3
 
+    @pytest.mark.parametrize("which, expected", [
+        ("--sup", ["0.25"] + ["0.1"] * 7 + ["0.05", "0", "0"]),
+        ("--inf", ["0.15"] + ["0.1"] * 8 + ["0.025", "0.025"]),
+    ])
+    def test_ball_bounds_above_cap_exit_zero(self, which, expected, tmp_path):
+        # the cap limits vertex listing only; the bounds have closed forms
+        out = tmp_path / "result.json"
+        center = ",".join(["0.2"] + ["0.1"] * 8 + ["0", "0"])
+        assert run_cli("ball", "--center", center, "--eps", "0.1", which, "-o", str(out)) == 0
+        assert read_result(out)["result"]["vectors"] == [expected]
+
+    def test_ball_sup_at_dimension_2000(self, tmp_path):
+        out = tmp_path / "result.json"
+        center = ",".join(["1/2000"] * 2000)
+        assert run_cli("ball", "--center", center, "--eps", "0.001", "--sup", "-o", str(out)) == 0
+        assert read_result(out)["result"]["vectors"] == [["0.001"] + ["0.0005"] * 1998 + ["0"]]
+
     def test_tol_requires_float_mode(self, pair_file):
         assert run_cli("meet", "-i", pair_file, "--tol", "1e-9") == 2
 
@@ -260,6 +277,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("majlat: not a") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, text", [
+        (["meet"], f"1/1{'0' * 4200}7,1/1{'0' * 4200}9\n"),  # the sum has an 8400-digit denominator
+        (["meet"], "1,-1e-5000\n"),  # a negative entry with a 5001-digit denominator
+        (["ball", "--sup", "--eps=-1e-5000"], "1\n"),  # with a space, -1e-5000 would read as a flag
+    ], ids=["unnormalized", "negative-entry", "negative-radius"])
+    def test_value_past_digit_limit_in_message_is_one(self, tmp_path, argv, text, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        assert run_cli(*argv, "-i", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("majlat: N") and err.count("\n") == 1
+        assert "digits" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("name, data", [
         ("latin1.json", '{"vectors": [["0.5", "0.5"], ["1", "0"]], "note": "caf\xe9"}'.encode("latin-1")),
         ("latin1.csv", "0.5,0.5\n1,0\ncaf\xe9\n".encode("latin-1")),
@@ -275,7 +305,7 @@ class TestExitCodes:
 
 # Inputs for the failure-contract fuzz test: vectors of at most 6 entries,
 # mixing well-formed rows with odd entry types, odd "d" values and
-# arbitrary JSON or CSV documents.
+# arbitrary JSON or CSV documents; ball radii come from the same odd cells.
 _VALID_ROWS = [FIG_X, FIG_Y, ["1"], ["1/2", "1/2"], ["0.5", "0.3", "0.2"], ["0.4", "0.4", "0.2"]]
 _cells = st.sampled_from(["0", "1", "0.5", "1/2", "2/3", "-0.1", "1/0", "1e400", "nan", "inf", ""])
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -293,17 +323,21 @@ _csv_texts = st.lists(st.sampled_from(_VALID_ROWS) | st.lists(_csv_cells, max_si
 ) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
 _inputs = _json_documents.map(lambda doc: ("in.json", json.dumps(doc))) | _csv_texts.map(lambda t: ("in.csv", t))
 _FUZZ_COMMANDS = {
-    "compare": [], "meet": [], "join": [], "inf": [], "sup": [],
-    "polytope": ["--inf"], "ocr": ["--theory", "coherence"],
+    "compare": ["compare"], "meet": ["meet"], "join": ["join"], "inf": ["inf"], "sup": ["sup"],
+    "polytope": ["polytope", "--inf"], "ocr": ["ocr", "--theory", "coherence"],
+    "ball-inf": ["ball", "--inf"], "ball-sup": ["ball", "--sup"],
 }
 
 
 @pytest.mark.parametrize("command", _FUZZ_COMMANDS)
-@given(given_input=_inputs, mode=st.sampled_from(["exact", "float"]), sort=st.booleans(), normalize=st.booleans())
-def test_failure_contract_holds_for_any_input(command, given_input, mode, sort, normalize):
+@given(given_input=_inputs, eps=_cells, mode=st.sampled_from(["exact", "float"]), sort=st.booleans(),
+       normalize=st.booleans())
+def test_failure_contract_holds_for_any_input(command, given_input, eps, mode, sort, normalize):
     name, text = given_input
-    argv = [command, *_FUZZ_COMMANDS[command], "--mode", mode]
+    argv = [*_FUZZ_COMMANDS[command], "--mode", mode]
     argv += ["--sort"] * sort + ["--normalize"] * normalize
+    if argv[0] == "ball":
+        argv += ["--eps", eps]
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name

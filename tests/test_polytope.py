@@ -12,6 +12,8 @@ from majlat import (
     NegativeRadiusError,
     Polytope,
     ball_vertices,
+    family_inf,
+    family_sup,
     flattest_approx,
     majorizes,
     make_vector,
@@ -178,3 +180,28 @@ class TestApproximations:
             large = Ball(center, Fraction(3, 20))
             assert majorizes(flattest_approx(small), flattest_approx(large))
             assert majorizes(steepest_approx(large), steepest_approx(small))
+
+
+class TestClosedFormsMatchVertexFold:
+    """The O(d) bounds against the fold over every enumerated ball vertex."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_bounds_match_vertex_fold(self, d, mode):
+        center = random_grid_vector(random.Random(d), d, 40)
+        share = Fraction(1, d)
+        to_point_mass = 2 * (1 - center.entries[0])
+        to_uniform = 2 * sum(e - share for e in center.entries if e > share)
+        radii = [Fraction(0), Fraction(1, 20), to_point_mass + Fraction(1, 10), to_uniform + Fraction(1, 10)]
+        if mode == "float":
+            center = center.to_float()
+        for radius in radii:
+            ball = Ball(center, float(radius) if mode == "float" else radius)
+            hull = ball_vertices(ball)
+            pairs = [(steepest_approx(ball), family_sup(hull.vertices)),
+                     (flattest_approx(ball), family_inf(hull.vertices))]
+            for got, want in pairs:
+                if mode == "exact":
+                    assert got.entries == want.entries
+                else:
+                    assert all(abs(a - b) <= d * center.tol for a, b in zip(got.entries, want.entries))
