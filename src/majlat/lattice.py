@@ -2,13 +2,14 @@
 
 The pairwise meet takes per-index minima of prefix sums; a minimum of
 concave curves is concave, so the differences are already sorted. The
-pairwise join repairs the max-prefix-sum differences by block averaging;
-the family supremum takes the least concave majorant of the max prefix
-sums. On two members these are independent algorithms for the same
-bound, and the tests hold them to agree. A family is either a non-empty
-sequence of vectors or an ExtremalFamily: its per-index prefix-sum
-extrema, the only data the family bounds depend on, which is how
-continuously parametrized families are handled.
+pairwise join is the pool-adjacent-violators (antitonic) regression of
+the max-prefix-sum differences, one O(d) pass; the family supremum takes
+the least concave majorant of the max prefix sums. On two members these
+are independent algorithms for the same bound, and the tests hold them
+to agree. A family is either a non-empty sequence of vectors or an
+ExtremalFamily: its per-index prefix-sum extrema, the only data the
+family bounds depend on, which is how continuously parametrized families
+are handled.
 
 Operands are validated once, when they are built; the kernels here trust
 them, and their outputs skip the public constructors' checks.
@@ -26,7 +27,6 @@ from .errors import (
     InvalidExtremalError,
     NotConcaveError,
     NotMonotoneError,
-    NotSortedError,
 )
 from .numeric import Scalar, geq, lt, parse_values
 
@@ -90,36 +90,30 @@ def meet(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
 
 
 def join(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
-    """Least upper bound via block-averaging repair of the raw differences."""
+    """Least upper bound: pool-adjacent-violators on the max-prefix-sum differences."""
     maxes, tol = _fold((x, y), max)
     z = [maxes[k + 1] - maxes[k] for k in range(x.d)]
     return _trusted(OrderedProbVector, entries=_flatten(z, tol), tol=tol)
 
 
 def _flatten(values: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
-    """Sort a probability vector into the ordered simplex by block averaging.
+    """Sort a probability vector into the ordered simplex by pool-adjacent-violators.
 
-    Repeatedly: find the first adjacent ascent w[j-1] < w[j]; among block
-    starts k <= j-1 pick the largest whose left neighbor is at least the
-    block average (the leftmost position always qualifies); replace
-    w[k..j] by that average. At most d-1 repairs are needed.
+    One pass keeps blocks of (sum, count, mean): each value starts a block,
+    which absorbs the block below while that block's mean is smaller by
+    more than tol. The means, each repeated over its block, are the
+    antitonic regression of the values: the differences of the least
+    concave majorant of their prefix sums.
     """
-    vals = list(values)
-    d = len(vals)
-    repairs = 0
-    while True:
-        ascent = next((j for j in range(1, d) if lt(vals[j - 1], vals[j], tol)), None)
-        if ascent is None:
-            break
-        if repairs >= d:
-            raise NotSortedError("block averaging failed to terminate")
-        for k in range(ascent - 1, -1, -1):
-            avg = sum(vals[k : ascent + 1]) / (ascent - k + 1)
-            if k == 0 or geq(vals[k - 1], avg, tol):
-                vals[k : ascent + 1] = [avg] * (ascent - k + 1)
-                break
-        repairs += 1
-    return tuple(vals)
+    blocks: list[tuple[Scalar, int, Scalar]] = []
+    for v in values:
+        total, count, mean = v, 1, v
+        while blocks and lt(blocks[-1][2], mean, tol):
+            below, size, _ = blocks.pop()
+            total, count = below + total, size + count
+            mean = total / count
+        blocks.append((total, count, mean))
+    return tuple(mean for _, count, mean in blocks for _ in range(count))
 
 
 def _upper_envelope(vals: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:

@@ -38,14 +38,13 @@ class Polytope:
 
     def __post_init__(self):
         members, tol = _members(self.vertices)
-        unique: list[OrderedProbVector] = []
-        for v in members:
-            duplicate = any(
-                all(abs(a - b) <= tol for a, b in zip(v.entries, u.entries)) if tol else v.entries == u.entries
-                for u in unique
-            )
-            if not duplicate:
-                unique.append(v)
+        if tol:
+            unique: list[OrderedProbVector] = []
+            for v in members:
+                if not any(all(abs(a - b) <= tol for a, b in zip(v.entries, u.entries)) for u in unique):
+                    unique.append(v)
+        else:
+            unique = list({v.entries: v for v in members}.values())
         unique.sort(key=lambda v: v.entries)
         object.__setattr__(self, "vertices", tuple(unique))
 

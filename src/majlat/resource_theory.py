@@ -138,6 +138,7 @@ def _check_alpha(alpha: object, d: int, tol: float | None):
     one = zero + 1
     if not (lt(zero, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
         raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(a)}")
+    a = min(a, one)  # a value accepted within tolerance above 1 is 1
     return a * a, tol_eff
 
 
@@ -176,7 +177,7 @@ def _check_blocks(d1: object, d: object, alpha_min_sq, tol: float | None):
     one = q * 0 + 1
     if not (lt(one * d1 / d, q, tol_eff) and leq(q, one, tol_eff)):
         raise AlphaMinOutOfRangeError(f"need {d1}/{d} < alpha_min_sq <= 1, got {shown(q)}")
-    return q, tol_eff
+    return min(q, one), tol_eff  # a value accepted within tolerance above 1 is 1
 
 
 def ocr_two_block_superposition(d1: int, d: int, alpha_min_sq, *, tol: float | None = None) -> OrderedProbVector:

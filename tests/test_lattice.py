@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -101,6 +102,17 @@ class TestMeetJoin:
         x, y = pair
         assert join(x, y) == family_sup((x, y))
 
+    def test_join_on_long_pooled_run(self):
+        # the max-prefix-sum differences pool into long blocks one value at a time
+        d = 400
+        x = make_vector([Fraction(1, 2)] + [Fraction(1, 2 * (d - 1))] * (d - 1))
+        y = make_vector([Fraction(2 * (d - k), d * (d + 1)) for k in range(d)])
+        start = time.perf_counter()
+        got = join(x, y)
+        elapsed = time.perf_counter() - start
+        assert got == family_sup((x, y))
+        assert elapsed < 0.5
+
     def test_optimality_against_grid(self):
         rng = random.Random(7)
         grid = list(grid_vectors(3, 10))
@@ -155,7 +167,10 @@ class TestUpperEnvelope:
 
     @given(monotone_profiles())
     def test_matches_chord_oracle(self, values):
-        assert _upper_envelope(values, 0.0) == chord_envelope(values)
+        oracle = chord_envelope(values)
+        assert _upper_envelope(values, 0.0) == oracle
+        differences = [b - a for a, b in zip(values, values[1:])]
+        assert cumulative_sums(_flatten(differences, 0.0)) == oracle
 
     @given(monotone_profiles(max_d=5))
     def test_minimality_over_grid_majorants(self, values):

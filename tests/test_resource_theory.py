@@ -245,3 +245,12 @@ def test_ocr_of_family_with_bottom_is_bottom(v):
     assert optimal_common_resource(fam, ResourceTheory.COHERENCE) == bottom(v.d)
     result = compare(optimal_common_resource(fam, ResourceTheory.PURITY), v)
     assert result in (MajOrdering.EQUAL, MajOrdering.MAJORIZES)
+
+
+def test_parameters_within_tolerance_above_one_count_as_one():
+    above = 1 + 9e-13  # accepted by the range checks at tol=1e-12
+    point_mass = (1.0, 0.0)
+    assert ocr_first_component_bound(above, 2, tol=1e-12).entries == point_mass
+    assert family_inf(first_component_family(above, 2, tol=1e-12)).entries == point_mass
+    assert ocr_two_block_superposition(1, 2, above, tol=1e-12).entries == point_mass
+    assert family_inf(two_block_family(1, 2, above, tol=1e-12)).entries == point_mass
