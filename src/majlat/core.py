@@ -9,7 +9,6 @@ function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -48,8 +47,39 @@ class MajOrdering(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class OrderedProbVector:
+class _Frozen:
+    """Immutable value over the fields named in _fields.
+
+    Equal only to an object of the same class with equal fields, hashed
+    by the field tuple, shown as Class(field=value, ...). Fields are set
+    once, by object.__setattr__ in __init__ or by _trusted.
+    """
+
+    _fields: tuple[str, ...]
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        shown_fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{self.__class__.__qualname__}({shown_fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OrderedProbVector(_Frozen):
     """Probability vector with non-increasing entries.
 
     Entries are parsed by numeric.resolve_mode's rule: all Fractions
@@ -57,13 +87,12 @@ class OrderedProbVector:
     downstream comparisons treat differences within tol as equality.
     """
 
-    entries: tuple[Scalar, ...]
-    tol: float = 0.0
+    _fields = ("entries", "tol")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[Scalar, ...], tol: float = 0.0):
+        if not entries:
             raise EmptyInputError("a probability vector needs at least one entry")
-        entries, tol = parse_values(tuple(self.entries), self.tol)
+        entries, tol = parse_values(tuple(entries), tol)
         _check_entries(entries, tol)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "tol", tol)
@@ -87,21 +116,19 @@ class OrderedProbVector:
         return "[" + ", ".join(scalar_str(e) for e in self.entries) + "]"
 
 
-@dataclass(frozen=True)
-class LorenzCurve:
+class LorenzCurve(_Frozen):
     """Cumulative values (S_0 = 0, ..., S_d = 1) of a sorted vector.
 
     The curve itself is the piecewise-linear interpolation through the
     integer points; it is non-decreasing and concave by invariant.
     """
 
-    values: tuple[Scalar, ...]
-    tol: float = 0.0
+    _fields = ("values", "tol")
 
-    def __post_init__(self):
-        if len(self.values) < 2:
+    def __init__(self, values: tuple[Scalar, ...], tol: float = 0.0):
+        if len(values) < 2:
             raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
-        values, tol = parse_values(tuple(self.values), self.tol)
+        values, tol = parse_values(tuple(values), tol)
         _check_cumulative(values, tol)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tol", tol)

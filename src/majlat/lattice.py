@@ -17,10 +17,9 @@ them, and their outputs skip the public constructors' checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_cumulative, _from_sums, _trusted, pair_tolerance
+from .core import OrderedProbVector, _check_cumulative, _from_sums, _Frozen, _trusted, pair_tolerance
 from .errors import (
     BadEndpointsError,
     EmptyFamilyError,
@@ -31,8 +30,7 @@ from .errors import (
 from .numeric import Scalar, geq, lt, parse_values
 
 
-@dataclass(frozen=True)
-class ExtremalFamily:
+class ExtremalFamily(_Frozen):
     """A family given only through its per-index prefix-sum extrema.
 
     lower[k] and upper[k] are the infimum and supremum of S_k over the
@@ -41,28 +39,26 @@ class ExtremalFamily:
     realizes them.
     """
 
-    d: int
-    lower: tuple[Scalar, ...]
-    upper: tuple[Scalar, ...]
-    tol: float = 0.0
+    _fields = ("d", "lower", "upper", "tol")
 
-    def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise InvalidExtremalError(f"dimension must be a positive integer, got {self.d!r}")
-        lower, upper = tuple(self.lower), tuple(self.upper)
-        if len(lower) != self.d + 1 or len(upper) != self.d + 1:
+    def __init__(self, d: int, lower: tuple[Scalar, ...], upper: tuple[Scalar, ...], tol: float = 0.0):
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise InvalidExtremalError(f"dimension must be a positive integer, got {d!r}")
+        lower, upper = tuple(lower), tuple(upper)
+        if len(lower) != d + 1 or len(upper) != d + 1:
             raise InvalidExtremalError("extrema maps must cover k = 0..d")
-        values, tol = parse_values(lower + upper, self.tol)
-        lower, upper = values[: self.d + 1], values[self.d + 1 :]
+        values, tol = parse_values(lower + upper, tol)
+        lower, upper = values[: d + 1], values[d + 1 :]
         # per-index infima of Lorenz curves are concave; suprema need not be
         for name, sums, concave in (("lower", lower, True), ("upper", upper, False)):
             try:
                 _check_cumulative(sums, tol, concave)
             except (BadEndpointsError, NotMonotoneError, NotConcaveError) as exc:
                 raise InvalidExtremalError(f"{name} map: {exc}") from exc
-        for k in range(self.d + 1):
+        for k in range(d + 1):
             if not geq(upper[k], lower[k], tol):
                 raise InvalidExtremalError(f"upper map below lower map at k={k}")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "tol", tol)

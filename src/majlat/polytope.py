@@ -14,11 +14,10 @@ the whole simplex are the bounds over the ordered simplex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import OrderedProbVector, _trusted, bottom
+from .core import OrderedProbVector, _Frozen, _trusted, bottom
 from .errors import DimensionTooLargeError, EmptyFamilyError, NegativeRadiusError
 from .lattice import _members, family_inf, family_sup
 from .numeric import Scalar, geq, leq, parse_scalar, shown, solve_square
@@ -30,14 +29,13 @@ def _l1(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     return sum(abs(u - v) for u, v in zip(a, b))
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(_Frozen):
     """Convex polytope given by vertices, deduplicated and canonically ordered."""
 
-    vertices: tuple[OrderedProbVector, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        members, tol = _members(self.vertices)
+    def __init__(self, vertices: tuple[OrderedProbVector, ...]):
+        members, tol = _members(vertices)
         if tol:
             unique: list[OrderedProbVector] = []
             for v in members:
@@ -57,17 +55,16 @@ class Polytope:
         return max(v.tol for v in self.vertices)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Frozen):
     """l1 ball around a sorted vector, implicitly clipped to the ordered simplex."""
 
-    center: OrderedProbVector
-    radius: Scalar
+    _fields = ("center", "radius")
 
-    def __post_init__(self):
-        radius = parse_scalar(self.radius, self.center.is_exact)
+    def __init__(self, center: OrderedProbVector, radius: Scalar):
+        radius = parse_scalar(radius, center.is_exact)
         if radius < 0:
             raise NegativeRadiusError(f"radius must be non-negative, got {shown(radius)}")
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 
 

@@ -11,12 +11,11 @@ descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_dimension, _check_entries, _trusted
+from .core import OrderedProbVector, _check_dimension, _check_entries, _Frozen, _trusted
 from .errors import (
     AlphaMinOutOfRangeError,
     AlphaOutOfRangeError,
@@ -47,8 +46,7 @@ class ResourceTheory(Enum):
         return Direction.DIRECT if self is ResourceTheory.PURITY else Direction.REVERSED
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(_Frozen):
     """State data: exactly one of amplitudes, schmidt_probs, spectrum.
 
     Amplitudes may be real scalars, complex numbers, or (re, im) pairs;
@@ -56,12 +54,13 @@ class StateSpec:
     spectra are probabilities already.
     """
 
-    amplitudes: tuple | None = None
-    schmidt_probs: tuple | None = None
-    spectrum: tuple | None = None
+    _fields = ("amplitudes", "schmidt_probs", "spectrum")
 
-    def __post_init__(self):
-        given = [f for f in ("amplitudes", "schmidt_probs", "spectrum") if getattr(self, f) is not None]
+    def __init__(self, amplitudes: tuple | None = None, schmidt_probs: tuple | None = None,
+                 spectrum: tuple | None = None):
+        for name, value in zip(self._fields, (amplitudes, schmidt_probs, spectrum)):
+            object.__setattr__(self, name, value)
+        given = [f for f in self._fields if getattr(self, f) is not None]
         if len(given) != 1:
             raise InvalidStateSpecError(f"exactly one data field required, got {given or 'none'}")
         field = given[0]

@@ -325,7 +325,7 @@ _inputs = _json_documents.map(lambda doc: ("in.json", json.dumps(doc))) | _csv_t
 _FUZZ_COMMANDS = {
     "compare": ["compare"], "meet": ["meet"], "join": ["join"], "inf": ["inf"], "sup": ["sup"],
     "polytope": ["polytope", "--inf"], "ocr": ["ocr", "--theory", "coherence"],
-    "ball-inf": ["ball", "--inf"], "ball-sup": ["ball", "--sup"],
+    "ball-inf": ["ball", "--inf"], "ball-sup": ["ball", "--sup"], "lorenz": ["lorenz"],
 }
 
 
@@ -342,6 +342,8 @@ def test_failure_contract_holds_for_any_input(command, given_input, eps, mode, s
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8")
+        if argv[0] == "lorenz":
+            argv += ["--svg", str(Path(tmp) / "curves.svg")]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv + ["-i", str(path)])
     assert code in (0, 1, 2, 3)
@@ -384,7 +386,7 @@ class TestSvg:
 
 
 def test_import_loads_no_xml_or_network_modules():
-    heavy = ("xml.sax", "http.client", "email")
+    heavy = ("xml.sax", "http.client", "email", "dataclasses", "inspect", "ast", "dis", "tokenize")
     code = f"import sys, majlat.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(majlat.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
