@@ -8,6 +8,10 @@ an l1 ball with its vertices and its steepest/flattest bounds.
 
 import json
 import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # majlat from this checkout, installed or not
 
 from majlat import (
     Ball,
@@ -27,7 +31,7 @@ from majlat import (
     top,
 )
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
+OUT = ROOT / "out"
 
 
 def strings(vector):

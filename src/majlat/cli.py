@@ -42,16 +42,35 @@ from .svg import emit_lorenz_svg
 MESSAGE_LIMIT = 200  # characters in one error line on stderr
 
 
-_COMMANDS = {
-    "compare": "majorization comparison of exactly two vectors",
-    "meet": "greatest lower bound of exactly two vectors",
-    "join": "least upper bound of exactly two vectors",
-    "inf": "family infimum of one or more vectors",
-    "sup": "family supremum of one or more vectors",
-    "polytope": "infimum or supremum of the hull of the given vertices",
-    "ball": "l1-ball vertices, or the ball's infimum/supremum",
-    "ocr": "optimal common resource of the given targets",
-    "lorenz": "plot Lorenz curves of the given vectors",
+def _polytope(vectors: list[OrderedProbVector], args: argparse.Namespace) -> list[OrderedProbVector]:
+    hull = Polytope(tuple(vectors))
+    return [polytope_inf(hull) if args.which == "inf" else polytope_sup(hull)]
+
+
+def _ball(vectors: list[OrderedProbVector], args: argparse.Namespace) -> list[OrderedProbVector]:
+    ball = Ball(vectors[0], args.eps)  # Ball parses the string in the center's mode
+    if args.which == "inf":
+        return [flattest_approx(ball)]
+    if args.which == "sup":
+        return [steepest_approx(ball)]
+    return list(ball_vertices(ball).vertices)
+
+
+# name: (help, fewest input vectors, most or None for no limit, kernel).
+# A kernel maps (vectors, args) to the result vectors; compare's returns
+# the ordering instead, and lorenz has no result beyond its plot.
+_COMMANDS: dict[str, tuple[str, int, int | None, Callable[[list, argparse.Namespace], object]]] = {
+    "compare": ("majorization comparison of exactly two vectors", 2, 2,
+                lambda v, args: compare(v[0], v[1]).value),
+    "meet": ("greatest lower bound of exactly two vectors", 2, 2, lambda v, args: [meet(v[0], v[1])]),
+    "join": ("least upper bound of exactly two vectors", 2, 2, lambda v, args: [join(v[0], v[1])]),
+    "inf": ("family infimum of one or more vectors", 1, None, lambda v, args: [family_inf(v)]),
+    "sup": ("family supremum of one or more vectors", 1, None, lambda v, args: [family_sup(v)]),
+    "polytope": ("infimum or supremum of the hull of the given vertices", 1, None, _polytope),
+    "ball": ("l1-ball vertices, or the ball's infimum/supremum", 1, 1, _ball),
+    "ocr": ("optimal common resource of the given targets", 1, None,
+            lambda v, args: [optimal_common_resource(v, ResourceTheory(args.theory))]),
+    "lorenz": ("plot Lorenz curves of the given vectors", 1, None, lambda v, args: []),
 }
 
 
@@ -73,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
-    for name, blurb in _COMMANDS.items():
+    for name, (blurb, *_) in _COMMANDS.items():
         parsers[name] = sub.add_parser(name, parents=[common], help=blurb)
 
     group = parsers["polytope"].add_mutually_exclusive_group(required=True)
@@ -125,13 +144,6 @@ def _load_vectors(args: argparse.Namespace) -> list[OrderedProbVector]:
     return [make_vector(row, normalize=args.normalize, sort=args.sort, tol=args.tol) for row in rows]
 
 
-def _expect(args: argparse.Namespace, vectors: list, low: int, high: int | None = None):
-    n = len(vectors)
-    if n < low or (high is not None and n > high):
-        expected = str(low) if high == low else (f"at least {low}" if high is None else f"{low}..{high}")
-        raise InputArityError(f"{args.command} expects {expected} vector(s), got {n}")
-
-
 def _vector_strings(vectors: Sequence[OrderedProbVector], text: Callable[[Scalar], str]) -> list[list[str]]:
     try:
         return [[text(e) for e in v.entries] for v in vectors]
@@ -150,41 +162,12 @@ def run(args: argparse.Namespace) -> int:
     """Run one parsed command line whose tol is already set (0 in exact mode)."""
     vectors = _load_vectors(args)
     exact = args.mode == "exact"
-    ordering = None
-    results: list[OrderedProbVector] = []
-
-    if args.command == "compare":
-        _expect(args, vectors, 2, 2)
-        ordering = compare(vectors[0], vectors[1]).value
-    elif args.command in ("meet", "join"):
-        _expect(args, vectors, 2, 2)
-        op = meet if args.command == "meet" else join
-        results = [op(vectors[0], vectors[1])]
-    elif args.command in ("inf", "sup"):
-        _expect(args, vectors, 1)
-        op = family_inf if args.command == "inf" else family_sup
-        results = [op(vectors)]
-    elif args.command == "polytope":
-        _expect(args, vectors, 1)
-        hull = Polytope(tuple(vectors))
-        results = [polytope_inf(hull) if args.which == "inf" else polytope_sup(hull)]
-    elif args.command == "ball":
-        _expect(args, vectors, 1, 1)
-        ball = Ball(vectors[0], args.eps)  # Ball parses the string in the center's mode
-        if args.which == "inf":
-            results = [flattest_approx(ball)]
-        elif args.which == "sup":
-            results = [steepest_approx(ball)]
-        else:
-            results = list(ball_vertices(ball).vertices)
-    elif args.command == "ocr":
-        _expect(args, vectors, 1)
-        theory = ResourceTheory(args.theory)
-        results = [optimal_common_resource(vectors, theory)]
-    elif args.command == "lorenz":
-        _expect(args, vectors, 1)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ParseError(f"unknown command {args.command!r}")
+    _, fewest, most, kernel = _COMMANDS[args.command]
+    if len(vectors) < fewest or (most is not None and len(vectors) > most):
+        expected = str(fewest) if most == fewest else f"at least {fewest}"
+        raise InputArityError(f"{args.command} expects {expected} vector(s), got {len(vectors)}")
+    found = kernel(vectors, args)
+    ordering, results = (found, []) if isinstance(found, str) else (None, found)
 
     doc = {
         "command": args.command,

@@ -137,10 +137,6 @@ class LorenzCurve(_Frozen):
     def d(self) -> int:
         return len(self.values) - 1
 
-    @property
-    def points(self) -> tuple[tuple[int, Scalar], ...]:
-        return tuple(enumerate(self.values))
-
     def value_at(self, omega) -> Scalar:
         """Linear interpolation at any abscissa in [0, d]."""
         if omega < 0 or omega > self.d:

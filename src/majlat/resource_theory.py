@@ -149,7 +149,7 @@ def ocr_first_component_bound(alpha, d: int, *, tol: float | None = None) -> Ord
     """
     a2, tol_eff = _check_alpha(alpha, d, tol)
     tail = (1 - a2) / (d - 1)  # d >= 2 is forced by alpha^2 > 1/d with alpha <= 1
-    return OrderedProbVector((a2,) + (tail,) * (d - 1), tol_eff)
+    return _trusted(OrderedProbVector, entries=(a2,) + (tail,) * (d - 1), tol=tol_eff)
 
 
 def first_component_family(alpha, d: int, *, tol: float | None = None) -> ExtremalFamily:
@@ -189,7 +189,7 @@ def ocr_two_block_superposition(d1: int, d: int, alpha_min_sq, *, tol: float | N
     q, tol_eff = _check_blocks(d1, d, alpha_min_sq, tol)
     head = q / d1
     tail = (1 - q) / (d - d1)  # head >= tail exactly because q > d1/d
-    return OrderedProbVector((head,) * d1 + (tail,) * (d - d1), tol_eff)
+    return _trusted(OrderedProbVector, entries=(head,) * d1 + (tail,) * (d - d1), tol=tol_eff)
 
 
 def two_block_family(d1: int, d: int, alpha_min_sq, *, tol: float | None = None) -> ExtremalFamily:

@@ -178,6 +178,21 @@ class TestCommands:
         assert read_result(second)["result"]["vectors"] == result_doc["vectors"]
 
 
+# (command line, input vectors given, expected count in the message):
+# too few and too many for each command; the open-ended ones take any number.
+_ARITY_CASES = [
+    (["compare"], 1, "2"), (["compare"], 3, "2"),
+    (["meet"], 1, "2"), (["meet"], 3, "2"),
+    (["join"], 1, "2"), (["join"], 3, "2"),
+    (["ball", "--eps", "0.1"], 0, "1"), (["ball", "--eps", "0.1"], 3, "1"),
+    (["inf"], 0, "at least 1"),
+    (["sup"], 0, "at least 1"),
+    (["polytope", "--inf"], 0, "at least 1"),
+    (["ocr", "--theory", "purity"], 0, "at least 1"),
+    (["lorenz", "--svg", "curves.svg"], 0, "at least 1"),
+]
+
+
 class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path):
         path = write_vectors(tmp_path / "bad.json", [["0.5", "0.3"], ["0.6", "0.4"]])
@@ -186,6 +201,15 @@ class TestExitCodes:
     def test_arity_error_is_one(self, tmp_path):
         path = write_vectors(tmp_path / "one.json", [FIG_X])
         assert run_cli("meet", "-i", path) == 1
+
+    @pytest.mark.parametrize("argv, count, expected", _ARITY_CASES,
+                             ids=[f"{argv[0]}-{count}" for argv, count, _ in _ARITY_CASES])
+    def test_arity_message(self, argv, count, expected, tmp_path, capsys):
+        inputs = ["-i", write_vectors(tmp_path / "in.json", [FIG_X] * count)] if count else []
+        assert run_cli(*argv, *inputs) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"majlat: InputArityError: {argv[0]} expects {expected} vector(s), got {count}\n"
 
     def test_missing_file_is_two(self, tmp_path):
         assert run_cli("meet", "-i", str(tmp_path / "nope.json")) == 2

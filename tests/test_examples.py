@@ -1,6 +1,9 @@
 """The worked examples regenerate the committed artifacts byte for byte."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,3 +21,17 @@ def test_examples_match_committed_artifacts(tmp_path, monkeypatch):
     assert len(written) == 6  # one JSON and one SVG per example
     for path in written:
         assert path.read_bytes() == (ROOT / "out" / path.name).read_bytes(), path.name
+
+
+def test_script_imports_majlat_from_the_checkout_without_pythonpath(tmp_path):
+    # run_name other than "__main__" loads the script without writing ./out
+    script = ROOT / "scripts" / "run_examples.py"
+    code = (
+        "import runpy, sys; "
+        f"runpy.run_path({str(script)!r}, run_name='not_main'); "
+        "print(sys.modules['majlat'].__file__)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).is_relative_to(ROOT / "src")
