@@ -120,7 +120,7 @@ def _rows_from_file(path: str) -> list[list[object]]:
             data = json.load(handle)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    except ValueError as exc:  # bad syntax, or an integer literal past the int-string digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, an integer past the digit limit, deep nesting
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except csv.Error as exc:
         raise ParseError(f"{path}: invalid CSV: {exc}") from exc

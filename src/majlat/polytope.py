@@ -46,14 +46,6 @@ class Polytope(_Frozen):
         unique.sort(key=lambda v: v.entries)
         object.__setattr__(self, "vertices", tuple(unique))
 
-    @property
-    def d(self) -> int:
-        return self.vertices[0].d
-
-    @property
-    def tol(self) -> float:
-        return max(v.tol for v in self.vertices)
-
 
 class Ball(_Frozen):
     """l1 ball around a sorted vector, implicitly clipped to the ordered simplex."""
@@ -95,8 +87,11 @@ def ball_vertices(ball: Ball) -> Polytope:
     radius. Every solution is re-checked against all constraints and
     deduplicated. Exact mode stays entirely in rationals.
 
-    Cost grows combinatorially with dimension (fine up to d around 6,
-    heavy beyond), hence the cap.
+    The sweep solves (2^d - 2) * C(2d, d - 2) systems: 3 600 at d = 5,
+    30 690 at d = 6, 252 252 at d = 7, 2 034 032 at d = 8, 128 741 340
+    at d = 10. One ball took 1.4 s exact / 0.13 s float at d = 5, 17 s /
+    1.5 s at d = 6 and 12.6 s float at d = 7 (2 CPUs, Python 3.11.7);
+    d = 8 to 10 pass the cap untimed.
 
     Raises:
         DimensionTooLargeError: when the center dimension exceeds MAX_DIMENSION.

@@ -26,7 +26,7 @@ from .errors import (
     NegativeProbabilityError,
 )
 from .lattice import ExtremalFamily, family_inf, family_sup
-from .numeric import cumulative_sums, leq, lt, parse_values, shown
+from .numeric import leq, lt, parse_values, shown
 
 
 class Direction(Enum):
@@ -141,31 +141,6 @@ def _check_alpha(alpha: object, d: int, tol: float | None):
     return a * a, tol_eff
 
 
-def ocr_first_component_bound(alpha, d: int, *, tol: float | None = None) -> OrderedProbVector:
-    """Optimal common resource for targets whose largest amplitude is >= alpha.
-
-    The infimum of {x sorted : x_1 >= alpha^2} puts alpha^2 first and
-    spreads the remainder uniformly.
-    """
-    a2, tol_eff = _check_alpha(alpha, d, tol)
-    tail = (1 - a2) / (d - 1)  # d >= 2 is forced by alpha^2 > 1/d with alpha <= 1
-    return _trusted(OrderedProbVector, entries=(a2,) + (tail,) * (d - 1), tol=tol_eff)
-
-
-def first_component_family(alpha, d: int, *, tol: float | None = None) -> ExtremalFamily:
-    """Prefix-sum extrema of {x sorted : x_1 >= alpha^2}.
-
-    The infima trace the flat-tail member with first entry alpha^2; the
-    suprema are 1 from k = 1 on (the point mass belongs to the family).
-    """
-    a2, tol_eff = _check_alpha(alpha, d, tol)
-    tail = (1 - a2) / (d - 1)
-    lower = (a2 * 0,) + tuple(a2 + tail * k for k in range(d))
-    one = a2 * 0 + 1
-    upper = (a2 * 0,) + (one,) * d
-    return ExtremalFamily(d, lower, upper, tol_eff)
-
-
 def _check_blocks(d1: object, d: object, alpha_min_sq, tol: float | None):
     for value in (d1, d):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -179,6 +154,43 @@ def _check_blocks(d1: object, d: object, alpha_min_sq, tol: float | None):
     return min(q, one), tol_eff  # a value accepted within tolerance above 1 is 1
 
 
+def _two_blocks(d1: int, d: int, q, tol: float) -> OrderedProbVector:
+    """Weight q spread uniformly over the first d1 entries, 1 - q over the other d - d1."""
+    head = q / d1
+    tail = (1 - q) / (d - d1)  # head >= tail exactly because q > d1/d
+    return _trusted(OrderedProbVector, entries=(head,) * d1 + (tail,) * (d - d1), tol=tol)
+
+
+def _block_family(d1: int, d: int, q, tol: float) -> ExtremalFamily:
+    """Extremal maps of the two-block targets with weight a in [q, 1].
+
+    Every S_k is non-decreasing in a, so the members at a = q and a = 1
+    are the family's infimum and supremum, and their Lorenz curves the maps.
+    """
+    lower = _two_blocks(d1, d, q, tol).prefix_sums()
+    upper = _two_blocks(d1, d, q * 0 + 1, tol).prefix_sums()
+    return _trusted(ExtremalFamily, d=d, lower=lower, upper=upper, tol=tol)
+
+
+def ocr_first_component_bound(alpha, d: int, *, tol: float | None = None) -> OrderedProbVector:
+    """Optimal common resource for targets whose largest amplitude is >= alpha.
+
+    The infimum of {x sorted : x_1 >= alpha^2} puts alpha^2 first and
+    spreads the remainder uniformly: the one-block superposition at
+    weight alpha^2 (d >= 2 is forced by alpha^2 > 1/d with alpha <= 1).
+    """
+    return _two_blocks(1, d, *_check_alpha(alpha, d, tol))
+
+
+def first_component_family(alpha, d: int, *, tol: float | None = None) -> ExtremalFamily:
+    """Prefix-sum extrema of {x sorted : x_1 >= alpha^2}.
+
+    Its least member (flat tail) and greatest (point mass) are those of
+    the one-block family at weight alpha^2, so the extrema are too.
+    """
+    return _block_family(1, d, *_check_alpha(alpha, d, tol))
+
+
 def ocr_two_block_superposition(d1: int, d: int, alpha_min_sq, *, tol: float | None = None) -> OrderedProbVector:
     """Optimal common resource for two-block superposition targets.
 
@@ -186,22 +198,9 @@ def ocr_two_block_superposition(d1: int, d: int, alpha_min_sq, *, tol: float | N
     1 - a over the rest, with a ranging over [alpha_min_sq, 1]; the
     infimum is the member at a = alpha_min_sq.
     """
-    q, tol_eff = _check_blocks(d1, d, alpha_min_sq, tol)
-    head = q / d1
-    tail = (1 - q) / (d - d1)  # head >= tail exactly because q > d1/d
-    return _trusted(OrderedProbVector, entries=(head,) * d1 + (tail,) * (d - d1), tol=tol_eff)
+    return _two_blocks(d1, d, *_check_blocks(d1, d, alpha_min_sq, tol))
 
 
 def two_block_family(d1: int, d: int, alpha_min_sq, *, tol: float | None = None) -> ExtremalFamily:
-    """Prefix-sum extrema of the two-block superposition targets.
-
-    Every S_k is non-decreasing in the block weight a, so the infima sit
-    at a = alpha_min_sq and the suprema at a = 1.
-    """
-    q, tol_eff = _check_blocks(d1, d, alpha_min_sq, tol)
-    head = q / d1
-    tail = (1 - q) / (d - d1)
-    lower = cumulative_sums((head,) * d1 + (tail,) * (d - d1))
-    one = q * 0 + 1
-    upper = tuple(min(one * k / d1, one) for k in range(d + 1))
-    return ExtremalFamily(d, lower, upper, tol_eff)
+    """Prefix-sum extrema of the two-block superposition targets."""
+    return _block_family(d1, d, *_check_blocks(d1, d, alpha_min_sq, tol))

@@ -318,7 +318,8 @@ class TestExitCodes:
         ("latin1.json", '{"vectors": [["0.5", "0.5"], ["1", "0"]], "note": "caf\xe9"}'.encode("latin-1")),
         ("latin1.csv", "0.5,0.5\n1,0\ncaf\xe9\n".encode("latin-1")),
         ("long-int.json", ('{"vectors": [[' + "1" * 5000 + ", 0], [1, 0]]}").encode()),
-    ], ids=["json-not-utf8", "csv-not-utf8", "json-int-past-digit-limit"])
+        ("deep.json", ('{"vectors": ' + "[" * 100_000 + "]" * 100_000 + "}").encode()),
+    ], ids=["json-not-utf8", "csv-not-utf8", "json-int-past-digit-limit", "json-nested-past-recursion-limit"])
     def test_unreadable_file_is_two(self, tmp_path, name, data, capsys):
         path = tmp_path / name
         path.write_bytes(data)

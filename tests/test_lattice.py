@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 
 from majlat import (
+    Ball,
     DimensionMismatchError,
     EmptyFamilyError,
     ExtremalFamily,
@@ -21,6 +22,7 @@ from majlat import (
     curve_to_vector,
     family_inf,
     family_sup,
+    flattest_approx,
     join,
     majorizes,
     make_vector,
@@ -29,6 +31,7 @@ from majlat import (
     partial_sums,
     polytope_inf,
     polytope_sup,
+    steepest_approx,
     top,
 )
 from majlat.core import MajOrdering
@@ -301,3 +304,21 @@ def test_kernel_outputs_pass_the_public_checks(members, exact_mode):
         assert LorenzCurve(curve.values, curve.tol) == curve
         if exact_mode:  # float differencing of the sums need not round-trip
             assert curve_to_vector(curve) == out
+
+
+@given(vector_families(max_d=32, max_size=6), st.fractions(min_value=0, max_value=2, max_denominator=60))
+def test_float_mode_agrees_with_exact_mode(members, radius):
+    floats = tuple(m.to_float() for m in members)
+    x, y, fx, fy = members[0], members[-1], floats[0], floats[-1]
+    pairs = [
+        (meet(x, y), meet(fx, fy)),
+        (join(x, y), join(fx, fy)),
+        (family_inf(members), family_inf(floats)),
+        (family_sup(members), family_sup(floats)),
+        (steepest_approx(Ball(x, radius)), steepest_approx(Ball(fx, float(radius)))),
+        (flattest_approx(Ball(x, radius)), flattest_approx(Ball(fx, float(radius)))),
+    ]
+    for exact, approx in pairs:
+        assert exact.is_exact and not approx.is_exact and approx.d == exact.d
+        for e, f in zip(exact.entries, approx.entries):
+            assert abs(f - float(e)) <= approx.d * approx.tol

@@ -11,6 +11,7 @@ from majlat import (
     BlockDimensionError,
     Direction,
     EmptyInputError,
+    ExtremalFamily,
     InvalidStateSpecError,
     MajOrdering,
     NegativeProbabilityError,
@@ -145,6 +146,20 @@ class TestOptimalCommonResource:
                     assert majorizes(ocr, z)
 
 
+def _assert_maps(family, lower, upper):
+    """The family's maps equal the paper's explicit S_k: exactly, or within d*tol in float mode.
+
+    The maps also pass the public ExtremalFamily constructor's checks.
+    """
+    assert (len(family.lower), len(family.upper)) == (len(lower), len(upper)) == (family.d + 1,) * 2
+    if family.tol == 0:
+        assert family.lower == tuple(lower) and family.upper == tuple(upper)
+    else:
+        for got, want in zip(family.lower + family.upper, lower + upper):
+            assert abs(got - float(want)) <= family.d * family.tol
+    assert ExtremalFamily(family.d, family.lower, family.upper, family.tol) == family
+
+
 class TestFirstComponentBound:
     def test_paper_formula_instance(self):
         got = ocr_first_component_bound(Fraction(4, 5), 4)
@@ -156,7 +171,14 @@ class TestFirstComponentBound:
     def test_extremal_route_agrees(self):
         for alpha, d in [(Fraction(4, 5), 4), (Fraction(3, 4), 3), (Fraction(9, 10), 6)]:
             closed = ocr_first_component_bound(alpha, d)
-            assert family_inf(first_component_family(alpha, d)) == closed
+            family = first_component_family(alpha, d)
+            assert family_inf(family) == closed
+            assert family == two_block_family(1, d, alpha**2)
+            a2 = alpha**2
+            lower = [0] + [a2 + (k - 1) * (1 - a2) / (d - 1) for k in range(1, d + 1)]
+            upper = [0] + [1] * d
+            _assert_maps(family, lower, upper)
+            _assert_maps(first_component_family(float(alpha), d), lower, upper)
 
     def test_grid_sampling_converges_from_above(self):
         alpha_sq = Fraction(1, 2)
@@ -211,9 +233,14 @@ class TestTwoBlockSuperposition:
         assert float_route.entries == pytest.approx([float(e) for e in got.entries])
 
     def test_extremal_route_agrees(self):
-        for d1, d, q in [(2, 4, Fraction(3, 5)), (1, 3, Fraction(1, 2)), (3, 7, Fraction(4, 5))]:
+        for d1, d, q in [(2, 4, Fraction(3, 5)), (1, 3, Fraction(1, 2)), (3, 7, Fraction(4, 5)), (10, 13, Fraction(7, 9))]:
             closed = ocr_two_block_superposition(d1, d, q)
-            assert family_inf(two_block_family(d1, d, q)) == closed
+            family = two_block_family(d1, d, q)
+            assert family_inf(family) == closed
+            lower = [k * q / d1 if k <= d1 else q + (k - d1) * (1 - q) / (d - d1) for k in range(d + 1)]
+            upper = [min(Fraction(k, d1), 1) for k in range(d + 1)]
+            _assert_maps(family, lower, upper)
+            _assert_maps(two_block_family(d1, d, float(q)), lower, upper)
 
     def test_grid_sampling_recovers_closed_form(self):
         d1, d, q = 2, 5, Fraction(13, 20)
