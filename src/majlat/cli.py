@@ -5,7 +5,8 @@ Inputs are JSON ({"d": ..., "vectors": [["0.6", ...], ...]}) or CSV (one
 vector per row); entries travel as decimal or ratio strings so exact mode
 stays exact. Exit codes: 0 success, 1 validation error, 2 I/O or parse
 error, 3 unsupported (ball vertex listing above the cap, or a result
-value too large to print).
+value too large to print), 4 internal error (a fault in majlat itself;
+the line names the exception).
 """
 
 from __future__ import annotations
@@ -27,24 +28,11 @@ from .errors import (
 )
 from .lattice import family_inf, family_sup, join, meet
 from .numeric import DEFAULT_FLOAT_TOL, Scalar, scalar_str
-from .polytope import (
-    Ball,
-    Polytope,
-    ball_vertices,
-    flattest_approx,
-    polytope_inf,
-    polytope_sup,
-    steepest_approx,
-)
+from .polytope import Ball, ball_vertices, flattest_approx, steepest_approx
 from .resource_theory import ResourceTheory, optimal_common_resource
 from .svg import emit_lorenz_svg
 
 MESSAGE_LIMIT = 200  # characters in one error line on stderr
-
-
-def _polytope(vectors: list[OrderedProbVector], args: argparse.Namespace) -> list[OrderedProbVector]:
-    hull = Polytope(tuple(vectors))
-    return [polytope_inf(hull) if args.which == "inf" else polytope_sup(hull)]
 
 
 def _ball(vectors: list[OrderedProbVector], args: argparse.Namespace) -> list[OrderedProbVector]:
@@ -66,7 +54,8 @@ _COMMANDS: dict[str, tuple[str, int, int | None, Callable[[list, argparse.Namesp
     "join": ("least upper bound of exactly two vectors", 2, 2, lambda v, args: [join(v[0], v[1])]),
     "inf": ("family infimum of one or more vectors", 1, None, lambda v, args: [family_inf(v)]),
     "sup": ("family supremum of one or more vectors", 1, None, lambda v, args: [family_sup(v)]),
-    "polytope": ("infimum or supremum of the hull of the given vertices", 1, None, _polytope),
+    "polytope": ("infimum or supremum of the hull of the given vertices", 1, None,
+                 lambda v, args: [family_inf(v) if args.which == "inf" else family_sup(v)]),
     "ball": ("l1-ball vertices, or the ball's infimum/supremum", 1, 1, _ball),
     "ocr": ("optimal common resource of the given targets", 1, None,
             lambda v, args: [optimal_common_resource(v, ResourceTheory(args.theory))]),
@@ -235,6 +224,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(2, str(exc))
     except MajlatError as exc:
         return _fail(1, f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # a bug, not bad input: still one line and no traceback
+        return _fail(4, f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -14,13 +14,12 @@ the whole simplex are the bounds over the ordered simplex.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import OrderedProbVector, _Frozen, _trusted, bottom
 from .errors import DimensionTooLargeError, EmptyFamilyError, NegativeRadiusError
 from .lattice import _members, family_inf, family_sup
-from .numeric import Scalar, geq, leq, parse_scalar, shown, solve_square
+from .numeric import Scalar, eq, geq, leq, parse_scalar, shown, solve_square
 
 MAX_DIMENSION = 10  # vertex listing cost explodes beyond this; the bounds need no cap
 
@@ -35,16 +34,20 @@ class Polytope(_Frozen):
     _fields = ("vertices",)
 
     def __init__(self, vertices: tuple[OrderedProbVector, ...]):
-        members, tol = _members(vertices)
-        if tol:
-            unique: list[OrderedProbVector] = []
-            for v in members:
-                if not any(all(abs(a - b) <= tol for a, b in zip(v.entries, u.entries)) for u in unique):
-                    unique.append(v)
-        else:
-            unique = list({v.entries: v for v in members}.values())
-        unique.sort(key=lambda v: v.entries)
-        object.__setattr__(self, "vertices", tuple(unique))
+        object.__setattr__(self, "vertices", _canonical(*_members(vertices)))
+
+
+def _canonical(members: Sequence[OrderedProbVector], tol: float) -> tuple[OrderedProbVector, ...]:
+    """Checked members without duplicates (within tol per entry in float mode), sorted by entries."""
+    if tol:
+        unique: list[OrderedProbVector] = []
+        for v in members:
+            if not any(all(abs(a - b) <= tol for a, b in zip(v.entries, u.entries)) for u in unique):
+                unique.append(v)
+    else:
+        unique = list({v.entries: v for v in members}.values())
+    unique.sort(key=lambda v: v.entries)
+    return tuple(unique)
 
 
 class Ball(_Frozen):
@@ -84,8 +87,10 @@ def ball_vertices(ball: Ball) -> Polytope:
     tight l1 facets at one point are equivalent to one facet plus
     coordinate ties, so the sweep reaches every vertex; constant sign
     patterns are pruned because they are never tight for a positive
-    radius. Every solution is re-checked against all constraints and
-    deduplicated. Exact mode stays entirely in rationals.
+    radius. Each candidate passes one check, _feasible, which covers the
+    ball and everything OrderedProbVector checks, so the kept vertices
+    and their Polytope are built trusted, deduplicated and sorted as
+    Polytope does it. Exact mode stays entirely in rationals.
 
     The sweep solves (2^d - 2) * C(2d, d - 2) systems: 3 600 at d = 5,
     30 690 at d = 6, 252 252 at d = 7, 2 034 032 at d = 8, 128 741 340
@@ -101,33 +106,29 @@ def ball_vertices(ball: Ball) -> Polytope:
     if d > MAX_DIMENSION:
         raise DimensionTooLargeError(f"dimension {d} above enumeration cap {MAX_DIMENSION}")
     if _is_point(ball):
-        return Polytope((center,))
+        return _trusted(Polytope, vertices=(center,))
     tol = center.tol
-    exact = center.is_exact
-    eps = ball.radius
-    x0 = center.entries
+    kept = [
+        _trusted(OrderedProbVector, entries=c, tol=tol)
+        for c in _candidates(center.entries, ball.radius, tol)
+        if _feasible(c, center.entries, ball.radius, tol)
+    ]
+    if not kept:
+        raise EmptyFamilyError("vertex enumeration found nothing; ball should be non-empty")
+    return _trusted(Polytope, vertices=_canonical(kept, tol))
+
+
+def _candidates(x0: Sequence[Scalar], eps: Scalar, tol: float) -> Iterator[tuple[Scalar, ...]]:
+    """The d simplex corners, then every unique solution of the active-constraint systems."""
+    d = len(x0)
     zero = x0[0] * 0
-    candidates: list[tuple[Scalar, ...]] = []
-
     for k in range(1, d + 1):
-        share = Fraction(1, k) if exact else 1.0 / k
-        corner = (share,) * k + (zero,) * (d - k)
-        if leq(_l1(corner, x0), eps, tol * d):
-            candidates.append(corner)
+        yield ((zero + 1) / k,) * k + (zero,) * (d - k)
 
-    pool: list[tuple[tuple[int, ...], Scalar]] = []
-    for i in range(d):  # coordinate tie with the center
-        row = [0] * d
-        row[i] = 1
-        pool.append((tuple(row), x0[i]))
-    for i in range(d - 1):  # ordering facet x_i = x_{i+1}
-        row = [0] * d
-        row[i] = 1
-        row[i + 1] = -1
-        pool.append((tuple(row), zero))
-    last = [0] * d
-    last[d - 1] = 1
-    pool.append((tuple(last), zero))  # positivity facet x_d = 0
+    unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    pool = [(unit[i], x0[i]) for i in range(d)]  # coordinate ties with the center
+    pool += [(tuple(a - b for a, b in zip(unit[i], unit[i + 1])), zero) for i in range(d - 1)]  # ordering facets
+    pool.append((unit[-1], zero))  # positivity facet x_d = 0
 
     ones = [1] * d
     for signs in itertools.product((1, -1), repeat=d):
@@ -135,26 +136,23 @@ def ball_vertices(ball: Ball) -> Polytope:
             continue
         rhs_ball = eps + sum(s * c for s, c in zip(signs, x0))
         for extra in itertools.combinations(pool, d - 2):
-            matrix = [ones, list(signs)] + [list(row) for row, _ in extra]
+            matrix = [ones, signs] + [row for row, _ in extra]
             rhs = [zero + 1, rhs_ball] + [value for _, value in extra]
-            solution = solve_square(matrix, rhs, exact=exact, pivot_tol=0.0 if exact else tol)
-            if solution is None:
-                continue
-            if _feasible(solution, x0, eps, tol):
-                candidates.append(tuple(solution))
-
-    if not candidates:
-        raise EmptyFamilyError("vertex enumeration found nothing; ball should be non-empty")
-    return Polytope(tuple(OrderedProbVector(c, tol) for c in candidates))
+            solution = solve_square(matrix, rhs, tol)
+            if solution is not None:
+                yield tuple(solution)
 
 
 def _feasible(x: Sequence[Scalar], x0: Sequence[Scalar], eps: Scalar, tol: float) -> bool:
+    """x is in the ball and passes every OrderedProbVector check: sorted, non-negative, unit sum."""
     d = len(x0)
-    if not leq(_l1(x, x0), eps, tol * d):
-        return False
-    if any(not geq(x[i], x[i + 1], tol) for i in range(d - 1)):
-        return False
-    return geq(x[-1], x[0] * 0, tol)
+    zero = x0[0] * 0
+    return (
+        leq(_l1(x, x0), eps, tol * d)
+        and all(geq(a, b, tol) for a, b in zip(x, x[1:]))
+        and all(geq(e, zero, tol) for e in x)
+        and eq(sum(x), zero + 1, tol * d)
+    )
 
 
 def _is_point(ball: Ball) -> bool:

@@ -107,6 +107,17 @@ class TestCommands:
         assert run_cli("polytope", "--sup", "-i", path, "-o", str(out)) == 0
         assert read_result(out)["result"]["vectors"] == [["0.55", "0.35", "0.1"]]
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_polytope_bounds_match_family_bounds(self, mode, tmp_path):
+        path = write_vectors(tmp_path / "hull.json", [FIG_Y, FIG_X, FIG_Y])
+        for which in ("inf", "sup"):
+            blocks = []
+            for argv in (["polytope", f"--{which}"], [which]):
+                out = tmp_path / f"{argv[0]}.json"
+                assert run_cli(*argv, "--mode", mode, "-i", path, "-o", str(out)) == 0
+                blocks.append(read_result(out)["result"])
+            assert blocks[0] == blocks[1]
+
     def test_ball_sup_inline_center(self, tmp_path):
         out = tmp_path / "result.json"
         code = run_cli("ball", "--center", "0.525,0.35,0.125", "--eps", "0.15",
@@ -313,6 +324,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("majlat: N") and err.count("\n") == 1
         assert "digits" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_huge_decimal_exponent_is_two(self, mode, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1e99999999,0\n")
+        proc = subprocess.run([sys.executable, "-m", "majlat", "meet", "--mode", mode, "-i", str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(Path(majlat.__file__).parents[1])),
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("majlat: decimal exponent") and proc.stderr.count("\n") == 1
+
+    def test_internal_error_is_four(self, pair_file, monkeypatch, capsys):
+        def broken(vectors, args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setitem(majlat.cli._COMMANDS, "meet", ("", 2, 2, broken))
+        assert run_cli("meet", "-i", pair_file) == 4
+        out, err = capsys.readouterr()
+        assert err == "majlat: internal error: RuntimeError: kernel fault\n" and not out
 
     @pytest.mark.parametrize("name, data", [
         ("latin1.json", '{"vectors": [["0.5", "0.5"], ["1", "0"]], "note": "caf\xe9"}'.encode("latin-1")),

@@ -241,6 +241,19 @@ def test_float_mode_rejects_non_finite_values(raw):
         make_vector(raw, tol=1e-12)
 
 
+@pytest.mark.parametrize("text", ["1e10001", "1E-10001", "2.5e+1_0001", "1e00000000010001"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_decimal_exponent_is_bounded(text, exact):
+    with pytest.raises(ParseError, match="decimal exponent"):
+        parse_scalar(text, exact)
+
+
+def test_decimal_exponent_at_the_bound_parses():
+    assert parse_scalar("1e-10000", True) == Fraction(1, 10**10000)
+    assert parse_scalar("1e+1_0000", True) == 10**10000
+    assert parse_scalar("1e-10000", False) == 0.0
+
+
 def test_vector_str_uses_canonical_strings():
     assert str(make_vector(FIG_X)) == "[0.6, 0.16, 0.16, 0.08]"
     assert str(bottom(3)) == "[1/3, 1/3, 1/3]"

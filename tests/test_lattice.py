@@ -17,6 +17,7 @@ from majlat import (
     OrderedProbVector,
     Polytope,
     ResourceTheory,
+    ball_vertices,
     bottom,
     compare,
     curve_to_vector,
@@ -304,6 +305,20 @@ def test_kernel_outputs_pass_the_public_checks(members, exact_mode):
         assert LorenzCurve(curve.values, curve.tol) == curve
         if exact_mode:  # float differencing of the sums need not round-trip
             assert curve_to_vector(curve) == out
+
+
+@pytest.mark.parametrize("exact_mode", [True, False], ids=["exact", "float"])
+def test_ball_listing_passes_the_public_checks(exact_mode):
+    rng = random.Random(53)
+    for d in (1, 2, 3, 4) * 4:
+        center = random_grid_vector(rng, d, 40)
+        radius = Fraction(rng.randint(1, 40), 40)
+        if not exact_mode:
+            center, radius = center.to_float(), float(radius)
+        hull = ball_vertices(Ball(center, radius))
+        for v in hull.vertices:
+            assert OrderedProbVector(v.entries, v.tol) == v
+        assert Polytope(hull.vertices) == hull
 
 
 @given(vector_families(max_d=32, max_size=6), st.fractions(min_value=0, max_value=2, max_denominator=60))

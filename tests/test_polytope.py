@@ -130,6 +130,18 @@ class TestBallVertices:
             for v in ball_vertices(Ball(center, eps)).vertices:
                 assert l1_distance(v, center) <= eps
 
+    def test_float_listing_matches_exact_listing(self):
+        rng = random.Random(59)
+        for d in (1, 2, 3, 4) * 10:
+            center = random_grid_vector(rng, d, 40)
+            radius = Fraction(rng.randint(1, 40), 40)
+            exact = ball_vertices(Ball(center, radius)).vertices
+            approx = ball_vertices(Ball(center.to_float(), float(radius))).vertices
+            assert len(approx) == len(exact)
+            near = lambda v, w: all(abs(float(a) - b) <= d * w.tol for a, b in zip(v.entries, w.entries))
+            assert all(any(near(v, w) for w in approx) for v in exact)
+            assert all(any(near(v, w) for v in exact) for w in approx)
+
     def test_dimension_cap(self):
         center = make_vector([Fraction(1, 11)] * 11)
         with pytest.raises(DimensionTooLargeError):
