@@ -9,8 +9,10 @@ function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -148,7 +150,25 @@ class LorenzCurve(_Frozen):
 
 
 def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
-    """Sign, order and sum checks of parsed, non-empty vector entries."""
+    """Sign, order and sum checks of parsed, non-empty vector entries.
+
+    Exact mode checks the integer numerators over the lcm of the
+    denominators, which order and sum as the Fractions do.
+    """
+    if tol == 0:
+        den = math.lcm(*[e.denominator for e in entries])
+        nums = [e.numerator * (den // e.denominator) for e in entries]
+        if min(nums) < 0:
+            i = next(i for i, n in enumerate(nums) if n < 0)
+            raise NegativeEntryError(f"negative entry {shown(entries[i])}")
+        rises = list(map(lt, nums, nums[1:]))
+        if True in rises:
+            i = rises.index(True)
+            raise NotSortedError(f"entries increase: {shown(entries[i])} < {shown(entries[i + 1])}")
+        total = sum(nums)
+        if total != den:
+            raise NotNormalizedError(f"entries sum to {shown(Fraction(total, den))}, expected 1")
+        return
     zero = entries[0] * 0
     for e in entries:
         if not geq(e, zero, tol):

@@ -26,6 +26,43 @@ DEFAULT_FLOAT_TOL = 1e-12
 MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
+# Plain ASCII forms, read without Fraction's string grammar: a decimal or a ratio in
+# exact mode, a decimal with an optional exponent in float mode. Every other string
+# (whitespace, underscores, non-ASCII digits, words) takes the Fraction route, so each
+# Python keeps its own Fraction grammar for them.
+_PLAIN_EXACT = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)(?:\.([0-9]*)|/([0-9]+))?")
+_PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _plain(pattern: re.Pattern, text: str) -> re.Match | None:
+    """pattern's full match of text; None past the int-to-text digit limit, where
+    Fraction(text) raises but int() of the joined digits or float(text) might not."""
+    limit = sys.get_int_max_str_digits()
+    return pattern.fullmatch(text) if not limit or len(text) <= limit else None
+
+
+def _exact_from_text(text: str) -> Fraction:
+    found = _plain(_PLAIN_EXACT, text)
+    if found is None:
+        return Fraction(text)
+    whole, frac, den = found.groups()
+    if den is not None:
+        return Fraction(int(whole), int(den))
+    if frac:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    return Fraction(int(whole))
+
+
+def _float_from_text(text: str) -> float:
+    if _plain(_PLAIN_FLOAT, text) is None:
+        return float(Fraction(text))
+    x = float(text)
+    if x == 0 and text[0] == "-" or math.isinf(x):
+        # Fraction's route gives 0.0 for a zero value ("-0") but -0.0 for a negative
+        # value that underflows, and raises OverflowError where float() gives inf.
+        return float(Fraction(text))
+    return x
+
 
 def parse_scalar(value: object, exact: bool) -> Scalar:
     """Coerce a string, int, Fraction, or float into the requested mode.
@@ -35,6 +72,14 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
     rejected there so binary rounding cannot leak into exact results.
     Float mode accepts finite values only. In both modes a string's
     decimal exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude.
+
+    Plain ASCII strings within the int-to-text digit limit are read
+    directly: decimals ("-0.25", ".5", "1.") and ratios ("13/50") in exact
+    mode as Fraction(int, 10**k) and Fraction(int, int), decimals with or
+    without an exponent in float mode by float(), which rounds correctly
+    to the same value as float(Fraction(s)). Every other string goes
+    through Fraction(s), so both routes accept the same strings and give
+    equal values.
     """
     if isinstance(value, bool):
         raise ParseError(f"not a scalar: {value!r}")
@@ -48,11 +93,11 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
                 "float value in exact mode; pass a decimal string, int, or Fraction"
             )
         try:
-            return Fraction(value)
+            return _exact_from_text(value) if isinstance(value, str) else Fraction(value)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ParseError(f"not an exact scalar: {value!r}") from exc
     try:
-        x = float(Fraction(value)) if isinstance(value, str) else float(value)
+        x = _float_from_text(value) if isinstance(value, str) else float(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParseError(f"not a float scalar: {value!r}") from exc
     if not math.isfinite(x):

@@ -1,12 +1,68 @@
 """Brute-force reference computations the fast paths are checked against.
 
 Everything here is deliberately naive: exhaustive chords for the concave
-majorant, full grid enumeration for optimality, plain sums for distances.
+majorant, full grid enumeration for optimality, plain sums for distances,
+Fraction's own string grammar for parsing and Fraction arithmetic for the
+entry checks.
 """
 
+import math
+import re
 from fractions import Fraction
 
 from majlat import OrderedProbVector, make_vector
+from majlat.errors import (
+    ModeMismatchError,
+    NegativeEntryError,
+    NotNormalizedError,
+    NotSortedError,
+    ParseError,
+)
+from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, shown
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def reference_parse_scalar(value, exact):
+    """numeric.parse_scalar as it was before plain strings were read directly:
+    every string goes through Fraction(value)."""
+    if isinstance(value, bool):
+        raise ParseError(f"not a scalar: {value!r}")
+    if isinstance(value, str) and (found := _EXPONENT.search(value)):
+        digits = found.group(1).replace("_", "").lstrip("0")  # int() refuses over 4300 digits
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ParseError(f"decimal exponent above {MAX_DECIMAL_EXPONENT} in magnitude: {value!r}")
+    if exact:
+        if isinstance(value, float):
+            raise ModeMismatchError(
+                "float value in exact mode; pass a decimal string, int, or Fraction"
+            )
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ParseError(f"not an exact scalar: {value!r}") from exc
+    try:
+        x = float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise ParseError(f"not a float scalar: {value!r}") from exc
+    if not math.isfinite(x):
+        raise ParseError(f"not a finite float: {value!r}")
+    return x
+
+
+def reference_check_entries(entries, tol):
+    """core._check_entries as it was before exact mode checked integer
+    numerators: Fraction comparisons and a Fraction sum."""
+    zero = entries[0] * 0
+    for e in entries:
+        if not geq(e, zero, tol):
+            raise NegativeEntryError(f"negative entry {shown(e)}")
+    for a, b in zip(entries, entries[1:]):
+        if not geq(a, b, tol):
+            raise NotSortedError(f"entries increase: {shown(a)} < {shown(b)}")
+    total = sum(entries)
+    if not eq(total, zero + 1, tol * len(entries)):
+        raise NotNormalizedError(f"entries sum to {shown(total)}, expected 1")
 
 
 def chord_envelope(values):
