@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -150,35 +149,40 @@ class LorenzCurve(_Frozen):
 
 
 def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
-    """Sign, order and sum checks of parsed, non-empty vector entries.
+    """Sign, order and sum checks of parsed, non-empty vector entries, in one pass.
 
-    Exact mode checks the integer numerators over the lcm of the
-    denominators, which order and sum as the Fractions do.
+    This is the one place the vector rule is written; ball vertex listing
+    uses it too. Any negative entry is reported first, then the first rise
+    by more than tol, then a sum more than tol * d away from one. Exact
+    mode takes one = the lcm of the denominators and scales each entry n/q
+    to the integer n * (one // q) as it is checked: these order and sum as
+    the Fractions do, and memory holds one numerator and the total. Float
+    mode checks the floats, with one = 1.0. sum() takes the total, so a
+    float total rounds as sum(entries) does on every Python (3.12 changed
+    that rounding).
     """
     if tol == 0:
-        den = math.lcm(*[e.denominator for e in entries])
-        nums = [e.numerator * (den // e.denominator) for e in entries]
-        if min(nums) < 0:
-            i = next(i for i, n in enumerate(nums) if n < 0)
-            raise NegativeEntryError(f"negative entry {shown(entries[i])}")
-        rises = list(map(lt, nums, nums[1:]))
-        if True in rises:
-            i = rises.index(True)
-            raise NotSortedError(f"entries increase: {shown(entries[i])} < {shown(entries[i + 1])}")
-        total = sum(nums)
-        if total != den:
-            raise NotNormalizedError(f"entries sum to {shown(Fraction(total, den))}, expected 1")
-        return
-    zero = entries[0] * 0
-    for e in entries:
-        if not geq(e, zero, tol):
-            raise NegativeEntryError(f"negative entry {shown(e)}")
-    for a, b in zip(entries, entries[1:]):
-        if not geq(a, b, tol):
-            raise NotSortedError(f"entries increase: {shown(a)} < {shown(b)}")
-    total = sum(entries)
-    if not eq(total, zero + 1, tol * len(entries)):
-        raise NotNormalizedError(f"entries sum to {shown(total)}, expected 1")
+        one = math.lcm(*[e.denominator for e in entries])
+        values = (e.numerator * (one // e.denominator) for e in entries)
+    else:
+        one, values = 1.0, entries
+    rise = []
+
+    def checked():
+        for i, n in enumerate(values):
+            if n < -tol:
+                raise NegativeEntryError(f"negative entry {shown(entries[i])}")
+            if i and not rise and n - previous > tol:
+                rise.append(i)
+            previous = n
+            yield n
+
+    total = sum(checked())
+    if rise:
+        i = rise[0]
+        raise NotSortedError(f"entries increase: {shown(entries[i - 1])} < {shown(entries[i])}")
+    if abs(total - one) > tol * len(entries):
+        raise NotNormalizedError(f"entries sum to {shown(Fraction(total, one) if tol == 0 else total)}, expected 1")
 
 
 def _check_cumulative(values: Sequence[Scalar], tol: float, concave: bool = True) -> None:

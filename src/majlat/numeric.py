@@ -13,6 +13,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .errors import ModeMismatchError, ParseError
@@ -151,12 +152,7 @@ def lt(a: Scalar, b: Scalar, tol: float) -> bool:
 
 def cumulative_sums(entries: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """(S_0, S_1, ..., S_d) with the convention S_0 = 0."""
-    acc = entries[0] * 0  # zero of the right type
-    out = [acc]
-    for e in entries:
-        acc = acc + e
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(entries, initial=entries[0] * 0))
 
 
 def shown(value: object) -> str:

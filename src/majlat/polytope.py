@@ -16,10 +16,17 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .core import OrderedProbVector, _Frozen, _trusted, bottom
-from .errors import DimensionTooLargeError, EmptyFamilyError, NegativeRadiusError
+from .core import OrderedProbVector, _check_entries, _Frozen, _trusted, bottom
+from .errors import (
+    DimensionTooLargeError,
+    EmptyFamilyError,
+    NegativeEntryError,
+    NegativeRadiusError,
+    NotNormalizedError,
+    NotSortedError,
+)
 from .lattice import _members, family_inf, family_sup
-from .numeric import Scalar, eq, geq, leq, parse_scalar, shown, solve_square
+from .numeric import Scalar, leq, parse_scalar, shown, solve_square
 
 MAX_DIMENSION = 10  # vertex listing cost explodes beyond this; the bounds need no cap
 
@@ -87,10 +94,10 @@ def ball_vertices(ball: Ball) -> Polytope:
     tight l1 facets at one point are equivalent to one facet plus
     coordinate ties, so the sweep reaches every vertex; constant sign
     patterns are pruned because they are never tight for a positive
-    radius. Each candidate passes one check, _feasible, which covers the
-    ball and everything OrderedProbVector checks, so the kept vertices
-    and their Polytope are built trusted, deduplicated and sorted as
-    Polytope does it. Exact mode stays entirely in rationals.
+    radius. Each candidate passes one check, _feasible: the ball's l1
+    test, then core._check_entries, the check OrderedProbVector runs. So
+    the kept vertices and their Polytope are built trusted, deduplicated
+    and sorted as Polytope does it. Exact mode stays entirely in rationals.
 
     The sweep solves (2^d - 2) * C(2d, d - 2) systems: 3 600 at d = 5,
     30 690 at d = 6, 252 252 at d = 7, 2 034 032 at d = 8, 128 741 340
@@ -144,15 +151,14 @@ def _candidates(x0: Sequence[Scalar], eps: Scalar, tol: float) -> Iterator[tuple
 
 
 def _feasible(x: Sequence[Scalar], x0: Sequence[Scalar], eps: Scalar, tol: float) -> bool:
-    """x is in the ball and passes every OrderedProbVector check: sorted, non-negative, unit sum."""
-    d = len(x0)
-    zero = x0[0] * 0
-    return (
-        leq(_l1(x, x0), eps, tol * d)
-        and all(geq(a, b, tol) for a, b in zip(x, x[1:]))
-        and all(geq(e, zero, tol) for e in x)
-        and eq(sum(x), zero + 1, tol * d)
-    )
+    """x is in the ball and passes core._check_entries: sorted, non-negative, unit sum."""
+    if not leq(_l1(x, x0), eps, tol * len(x0)):
+        return False
+    try:
+        _check_entries(x, tol)
+    except (NegativeEntryError, NotSortedError, NotNormalizedError):
+        return False
+    return True
 
 
 def _is_point(ball: Ball) -> bool:

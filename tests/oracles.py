@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive chords for the concave
 majorant, full grid enumeration for optimality, plain sums for distances,
-Fraction's own string grammar for parsing and Fraction arithmetic for the
-entry checks.
+Fraction's own string grammar for parsing, Fraction arithmetic for the
+entry checks and a ball test with its own copy of them.
 """
 
 import math
@@ -18,7 +18,7 @@ from majlat.errors import (
     NotSortedError,
     ParseError,
 )
-from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, shown
+from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, leq, shown
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -63,6 +63,19 @@ def reference_check_entries(entries, tol):
     total = sum(entries)
     if not eq(total, zero + 1, tol * len(entries)):
         raise NotNormalizedError(f"entries sum to {shown(total)}, expected 1")
+
+
+def reference_feasible(x, x0, eps, tol):
+    """polytope._feasible as it was before it asked core._check_entries:
+    the ball test and its own order, sign and sum tests."""
+    d = len(x0)
+    zero = x0[0] * 0
+    return (
+        leq(sum(abs(u - v) for u, v in zip(x, x0)), eps, tol * d)
+        and all(geq(a, b, tol) for a, b in zip(x, x[1:]))
+        and all(geq(e, zero, tol) for e in x)
+        and eq(sum(x), zero + 1, tol * d)
+    )
 
 
 def chord_envelope(values):

@@ -1,13 +1,16 @@
 """Parsing and entry checks against the Fraction-only references in oracles.py.
 
 parse_scalar reads plain ASCII decimals and ratios directly and sends every
-other string through Fraction; _check_entries checks exact entries on integer
-numerators. Both must behave exactly as the references do: equal values of
-the same type (the same repr in float mode, signed zero included) and the same
-exception class and message.
+other string through Fraction. _check_entries checks both modes in one pass,
+exact entries on integer numerators scaled one at a time, so its memory holds
+one numerator and the total. Both must behave exactly as the references do:
+equal values of the same type (the same repr in float mode, signed zero
+included) and the same exception class and message.
 """
 
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -17,7 +20,7 @@ from hypothesis import example, given
 from majlat import make_vector
 from majlat.cli import main
 from majlat.core import _check_entries
-from majlat.errors import MajlatError
+from majlat.errors import MajlatError, NotNormalizedError
 from majlat.numeric import parse_scalar
 
 from .oracles import reference_check_entries, reference_parse_scalar
@@ -119,13 +122,45 @@ def _exact_entries(draw):
 
 _VALID_64 = sorted((Fraction(1, p) for p in _PRIMES[30:93]), reverse=True)
 
+# With tol = 1e-12 and d = 2, 1.0 + 2e-12 is the largest float total the sum check
+# accepts; the next float is the smallest total above 1 it refuses. 1.0 - 2e-12 is
+# the smallest total below 1 it accepts.
+_HIGH = 1.0 + 1e-12 * 2
+_LOW = 1.0 - 1e-12 * 2
+
 
 @given(_exact_entries())
 @example((1 - sum(_VALID_64), *_VALID_64))
+@example((Fraction(1, 2), Fraction(3, 5), Fraction(-1, 10)))  # a negative entry outranks an earlier rise
+@example((Fraction(1, 10), Fraction(1, 5), Fraction(1, 10), Fraction(3, 5)))  # the first of two rises
+@example((1 - 1e-12, 0.0, 1e-12))  # a float rise of exactly tol is no rise
+@example((1 - 1e-12, 0.0, math.nextafter(1e-12, 1)))
+@example((_HIGH - 0.5, 0.5))
+@example((math.nextafter(_HIGH, 2) - 0.5, 0.5))
+@example((0.5, _LOW - 0.5))
+@example((0.5, math.nextafter(_LOW, 0) - 0.5))
+@example((-0.0,))
+@example((0.3,) * 10)  # a total that sum() rounds apart from a running sum on Python 3.12+
 def test_check_entries_matches_fraction_checks(entries):
-    assert _outcome(_check_entries, entries, 0) == _outcome(reference_check_entries, entries, 0)
+    """Exact mode on the entries as Fractions, float mode on them as floats."""
+    exact = tuple(map(Fraction, entries))
+    assert _outcome(_check_entries, exact, 0) == _outcome(reference_check_entries, exact, 0)
     floats = tuple(map(float, entries))
     assert _outcome(_check_entries, floats, 1e-12) == _outcome(reference_check_entries, floats, 1e-12)
+
+
+def test_exact_check_holds_one_numerator_at_a_time():
+    """Numerators over the lcm of 500 hundred-digit denominators take about 20 KB
+    each; the check keeps one of them and the total, not all 500 (about 11 MB)."""
+    entries = tuple(Fraction(1, 10**100 + i) for i in range(500))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotNormalizedError):
+            _check_entries(entries, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("raw, shown", [

@@ -22,7 +22,9 @@ from majlat import (
     steepest_approx,
 )
 
-from .oracles import convex_mix, l1_distance, random_grid_vector
+from majlat.polytope import _candidates, _feasible
+
+from .oracles import convex_mix, l1_distance, random_grid_vector, reference_feasible
 from .strategies import vector_families, vectors
 
 CENTER = ["0.525", "0.35", "0.125"]
@@ -141,6 +143,22 @@ class TestBallVertices:
             near = lambda v, w: all(abs(float(a) - b) <= d * w.tol for a, b in zip(v.entries, w.entries))
             assert all(any(near(v, w) for w in approx) for v in exact)
             assert all(any(near(v, w) for v in exact) for w in approx)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_feasible_matches_reference(self, mode):
+        rng = random.Random(67)
+        outcomes = set()
+        for d in (2, 3, 4) * 4:
+            center = random_grid_vector(rng, d, 40)
+            radius = Fraction(rng.randint(1, 40), 40)
+            if mode == "float":
+                center, radius = center.to_float(), float(radius)
+            x0, tol = center.entries, center.tol
+            for c in _candidates(x0, radius, tol):
+                want = reference_feasible(c, x0, radius, tol)
+                assert _feasible(c, x0, radius, tol) == want
+                outcomes.add(want)
+        assert outcomes == {True, False}
 
     def test_dimension_cap(self):
         center = make_vector([Fraction(1, 11)] * 11)
