@@ -9,9 +9,9 @@ function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
 from .numeric import (
     DEFAULT_FLOAT_TOL,
     Scalar,
+    common_scale,
     cumulative_sums,
     eq,
     geq,
@@ -153,19 +154,14 @@ def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
 
     This is the one place the vector rule is written; ball vertex listing
     uses it too. Any negative entry is reported first, then the first rise
-    by more than tol, then a sum more than tol * d away from one. Exact
-    mode takes one = the lcm of the denominators and scales each entry n/q
-    to the integer n * (one // q) as it is checked: these order and sum as
-    the Fractions do, and memory holds one numerator and the total. Float
-    mode checks the floats, with one = 1.0. sum() takes the total, so a
-    float total rounds as sum(entries) does on every Python (3.12 changed
-    that rounding).
+    by more than tol, then a sum more than tol * d away from one. The
+    entries are checked over numeric.common_scale's one common
+    denominator: exact numerators are scaled one at a time as they are
+    checked, so memory holds one numerator and the total. sum() takes the
+    total, so a float total rounds as sum(entries) does on every Python
+    (3.12 changed that rounding).
     """
-    if tol == 0:
-        one = math.lcm(*[e.denominator for e in entries])
-        values = (e.numerator * (one // e.denominator) for e in entries)
-    else:
-        one, values = 1.0, entries
+    one, (values,) = common_scale((entries,), tol)
     rise = []
 
     def checked():
@@ -299,12 +295,13 @@ def compare(x: OrderedProbVector, y: OrderedProbVector) -> MajOrdering:
     """Majorization comparison via prefix-sum dominance at k = 1..d-1.
 
     The k = d sums agree for probability vectors, so they never decide.
+    Exact prefix sums are integer numerators over one common denominator.
     """
     tol = pair_tolerance(x, y)
-    sx = x.prefix_sums()
-    sy = y.prefix_sums()
-    x_dominates = all(geq(sx[k], sy[k], tol) for k in range(1, x.d))
-    y_dominates = all(geq(sy[k], sx[k], tol) for k in range(1, x.d))
+    _, (rx, ry) = common_scale((x.entries, y.entries), tol)
+    sums = tuple(zip(accumulate(rx), accumulate(ry)))[:-1]
+    x_dominates = all(geq(a, b, tol) for a, b in sums)
+    y_dominates = all(geq(b, a, tol) for a, b in sums)
     if x_dominates and y_dominates:
         return MajOrdering.EQUAL
     if x_dominates:

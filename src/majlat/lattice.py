@@ -11,12 +11,22 @@ ExtremalFamily: its per-index prefix-sum extrema, the only data the
 family bounds depend on, which is how continuously parametrized families
 are handled.
 
+Exact kernels compute on integer numerators over one common denominator,
+the lcm of the operands' denominators (numeric.common_scale): prefix sums,
+their minima and maxima, and the join's block means, compared by
+cross-multiplying. Fractions are built only for the result entries, and for
+the prefix-sum suprema that the family supremum's envelope still takes.
+Float kernels compute on the floats themselves, so their results are the
+same bit for bit as those of plain float arithmetic.
+
 Operands are validated once, when they are built; the kernels here trust
 them, and their outputs skip the public constructors' checks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import accumulate, pairwise
 from typing import Sequence
 
 from .core import OrderedProbVector, _check_cumulative, _from_sums, _Frozen, _trusted, pair_tolerance
@@ -27,7 +37,7 @@ from .errors import (
     NotConcaveError,
     NotMonotoneError,
 )
-from .numeric import Scalar, geq, lt, parse_values
+from .numeric import Scalar, common_scale, geq, lt, parse_values, unscale
 
 
 class ExtremalFamily(_Frozen):
@@ -72,12 +82,23 @@ def _members(family: Sequence[OrderedProbVector]) -> tuple[tuple[OrderedProbVect
     return members, max(pair_tolerance(members[0], m) for m in members)
 
 
-def _fold(family, pick) -> tuple[tuple[Scalar, ...], float]:
-    """Per-index prefix-sum minima (pick=min) or maxima (pick=max), and the tolerance."""
+def _fold(family, pick) -> tuple[tuple[Scalar, ...], Scalar, float]:
+    """Per-index prefix-sum minima (pick=min) or maxima (pick=max) as (sums, one, tol).
+
+    Exact sums are integer numerators over one, the common denominator of
+    numeric.common_scale; float sums are floats, with one = 1.0.
+    """
     if isinstance(family, ExtremalFamily):
-        return (family.lower if pick is min else family.upper), family.tol
+        one, (sums,) = common_scale((family.lower if pick is min else family.upper,), family.tol)
+        return tuple(sums), one, family.tol
     members, tol = _members(family)
-    return tuple(map(pick, zip(*(m.prefix_sums() for m in members)))), tol
+    one, rows = common_scale([m.entries for m in members], tol)
+    zero = one * 0
+    return tuple(map(pick, zip(*(accumulate(row, initial=zero) for row in rows)))), one, tol
+
+
+def _differences(sums: Sequence[Scalar]) -> list[Scalar]:
+    return [b - a for a, b in pairwise(sums)]
 
 
 def meet(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
@@ -87,29 +108,35 @@ def meet(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
 
 def join(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:
     """Least upper bound: pool-adjacent-violators on the max-prefix-sum differences."""
-    maxes, tol = _fold((x, y), max)
-    z = [maxes[k + 1] - maxes[k] for k in range(x.d)]
-    return _trusted(OrderedProbVector, entries=_flatten(z, tol), tol=tol)
+    maxes, one, tol = _fold((x, y), max)
+    return _trusted(OrderedProbVector, entries=_flatten(_differences(maxes), one, tol), tol=tol)
 
 
-def _flatten(values: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
-    """Sort a probability vector into the ordered simplex by pool-adjacent-violators.
+def _flatten(values: Sequence[Scalar], one: Scalar, tol: float) -> tuple[Scalar, ...]:
+    """Sort a probability vector, given as numerators over one, into the ordered simplex.
 
-    One pass keeps blocks of (sum, count, mean): each value starts a block,
-    which absorbs the block below while that block's mean is smaller by
+    One pool-adjacent-violators pass keeps blocks of (sum, count): each
+    value starts a block, which absorbs the block below while that block's
+    mean is smaller. Exact mode compares the means by cross-multiplying
+    the integer sums; float mode pools while the mean below is smaller by
     more than tol. The means, each repeated over its block, are the
     antitonic regression of the values: the differences of the least
-    concave majorant of their prefix sums.
+    concave majorant of their prefix sums (Cicalese & Vaccaro, IEEE Trans.
+    Inf. Theory 48, 2002). Exact means are built as Fractions only here.
     """
-    blocks: list[tuple[Scalar, int, Scalar]] = []
+    blocks: list[tuple[Scalar, int]] = []
     for v in values:
-        total, count, mean = v, 1, v
-        while blocks and lt(blocks[-1][2], mean, tol):
-            below, size, _ = blocks.pop()
+        total, count = v, 1
+        while blocks:
+            below, size = blocks[-1]
+            smaller = below * count < total * size if tol == 0 else lt(below / size, total / count, tol)
+            if not smaller:
+                break
+            blocks.pop()
             total, count = below + total, size + count
-            mean = total / count
-        blocks.append((total, count, mean))
-    return tuple(mean for _, count, mean in blocks for _ in range(count))
+        blocks.append((total, count))
+    means = [(Fraction(total, count * one) if tol == 0 else total / count, count) for total, count in blocks]
+    return tuple(mean for mean, count in means for _ in range(count))
 
 
 def _upper_envelope(vals: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
@@ -144,10 +171,15 @@ def _upper_envelope(vals: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
 
 def family_inf(family) -> OrderedProbVector:
     """Greatest lower bound of a family: per-index prefix-sum infima, differenced."""
-    return _from_sums(*_fold(family, min))
+    mins, one, tol = _fold(family, min)
+    return _trusted(OrderedProbVector, entries=unscale(_differences(mins), one, tol), tol=tol)
 
 
 def family_sup(family) -> OrderedProbVector:
-    """Least upper bound of a family via the envelope of prefix-sum suprema."""
-    sums, tol = _fold(family, max)
-    return _from_sums(_upper_envelope(sums, tol), tol)
+    """Least upper bound of a family via the envelope of prefix-sum suprema.
+
+    The suprema are folded on integer numerators in exact mode; the
+    envelope still runs on their Fractions.
+    """
+    maxes, one, tol = _fold(family, max)
+    return _from_sums(_upper_envelope(unscale(maxes, one, tol), tol), tol)

@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ModeMismatchError, ParseError
 
@@ -148,6 +148,28 @@ def eq(a: Scalar, b: Scalar, tol: float) -> bool:
 def lt(a: Scalar, b: Scalar, tol: float) -> bool:
     """a < b by more than tol."""
     return a < b if tol == 0 else b - a > tol
+
+
+def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, Sequence[Iterable[Scalar]]]:
+    """Rows over one common denominator: (one, each row's numerators).
+
+    Exact mode takes one = the lcm of every denominator in the rows and
+    yields each entry n/q lazily, one at a time, as the integer
+    n * (one // q): integers that add, compare and sort as the Fractions
+    do, at a fraction of the cost. Float mode returns the rows themselves,
+    with one = 1.0. This is the one place exact entries are scaled.
+    """
+    if tol:
+        return 1.0, rows
+    one = math.lcm(*[math.lcm(*[e.denominator for e in row]) for row in rows])
+    return one, [(e.numerator * (one // e.denominator) for e in row) for row in rows]
+
+
+def unscale(values: Iterable[Scalar], one: Scalar, tol: float) -> tuple[Scalar, ...]:
+    """Numerators over one back to entries: Fraction(v, one) in exact mode, the values in float mode."""
+    if tol:
+        return tuple(values)
+    return tuple(Fraction(v, one) for v in values)
 
 
 def cumulative_sums(entries: Sequence[Scalar]) -> tuple[Scalar, ...]:

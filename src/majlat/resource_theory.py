@@ -26,7 +26,7 @@ from .errors import (
     NegativeProbabilityError,
 )
 from .lattice import ExtremalFamily, family_inf, family_sup
-from .numeric import leq, lt, parse_values, shown
+from .numeric import common_scale, leq, lt, parse_values, shown, unscale
 
 
 class Direction(Enum):
@@ -90,15 +90,19 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
 
     Coherence and entanglement accept amplitudes (entanglement also takes
     Schmidt weights directly); purity takes a spectrum. The result is the
-    squared moduli where applicable, sorted non-increasing.
+    squared moduli where applicable, sorted non-increasing. Exact moduli
+    are squared, summed and sorted as integer numerators over one², and
+    built as Fractions once they are in order.
     """
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
             raise InvalidStateSpecError("purity takes a spectrum, not amplitudes")
         parts = _amplitude_components(spec.amplitudes)
         values, tol = parse_values([c for part in parts for c in part], tol)
-        components = iter(values)  # each amplitude's squared modulus takes its own parts
-        probs = [sum(c * c for c in islice(components, len(part))) for part in parts]
+        one, (numerators,) = common_scale((values,), tol)
+        components = iter(numerators)  # each squared modulus takes its own parts
+        squares = [sum(c * c for c in islice(components, len(part))) for part in parts]
+        probs = unscale(sorted(squares, reverse=True), one * one, tol)
     else:
         if spec.schmidt_probs is not None:
             if theory is not ResourceTheory.ENTANGLEMENT:
@@ -109,7 +113,7 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
                 raise InvalidStateSpecError("a spectrum belongs to purity")
             raw = spec.spectrum
         probs, tol = parse_values(raw, tol)
-    probs = tuple(sorted(probs, reverse=True))
+        probs = tuple(sorted(probs, reverse=True))
     try:
         _check_entries(probs, tol)
     except NegativeEntryError as exc:  # only given probabilities can be negative

@@ -3,22 +3,29 @@
 Everything here is deliberately naive: exhaustive chords for the concave
 majorant, full grid enumeration for optimality, plain sums for distances,
 Fraction's own string grammar for parsing, Fraction arithmetic for the
-entry checks and a ball test with its own copy of them.
+entry checks, the lattice kernels and the squared moduli, and a ball test
+with its own copy of the entry checks.
 """
 
 import math
 import re
 from fractions import Fraction
+from itertools import islice
 
-from majlat import OrderedProbVector, make_vector
+from majlat import OrderedProbVector, ResourceTheory, make_vector
+from majlat.core import MajOrdering, _from_sums, _trusted, pair_tolerance
 from majlat.errors import (
+    InvalidStateSpecError,
     ModeMismatchError,
     NegativeEntryError,
+    NegativeProbabilityError,
     NotNormalizedError,
     NotSortedError,
     ParseError,
 )
-from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, leq, shown
+from majlat.lattice import ExtremalFamily, _members, _upper_envelope
+from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, leq, lt, parse_values, shown
+from majlat.resource_theory import _amplitude_components
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -76,6 +83,89 @@ def reference_feasible(x, x0, eps, tol):
         and all(geq(e, zero, tol) for e in x)
         and eq(sum(x), zero + 1, tol * d)
     )
+
+
+# The lattice kernels, compare and state_to_vector as they were before exact
+# mode computed on integer numerators over one common denominator: every step
+# is a Fraction operation.
+
+
+def reference_fold(family, pick):
+    """Per-index prefix-sum minima (pick=min) or maxima (pick=max), and the tolerance."""
+    if isinstance(family, ExtremalFamily):
+        return (family.lower if pick is min else family.upper), family.tol
+    members, tol = _members(family)
+    return tuple(map(pick, zip(*(m.prefix_sums() for m in members)))), tol
+
+
+def reference_family_inf(family):
+    return _from_sums(*reference_fold(family, min))
+
+
+def reference_family_sup(family):
+    sums, tol = reference_fold(family, max)
+    return _from_sums(_upper_envelope(sums, tol), tol)
+
+
+def reference_flatten(values, tol):
+    """Pool-adjacent-violators on (sum, count, mean) blocks, comparing Fraction or float means."""
+    blocks = []
+    for v in values:
+        total, count, mean = v, 1, v
+        while blocks and lt(blocks[-1][2], mean, tol):
+            below, size, _ = blocks.pop()
+            total, count = below + total, size + count
+            mean = total / count
+        blocks.append((total, count, mean))
+    return tuple(mean for _, count, mean in blocks for _ in range(count))
+
+
+def reference_join(x, y):
+    maxes, tol = reference_fold((x, y), max)
+    z = [maxes[k + 1] - maxes[k] for k in range(x.d)]
+    return _trusted(OrderedProbVector, entries=reference_flatten(z, tol), tol=tol)
+
+
+def reference_compare(x, y):
+    tol = pair_tolerance(x, y)
+    sx = x.prefix_sums()
+    sy = y.prefix_sums()
+    x_dominates = all(geq(sx[k], sy[k], tol) for k in range(1, x.d))
+    y_dominates = all(geq(sy[k], sx[k], tol) for k in range(1, x.d))
+    if x_dominates and y_dominates:
+        return MajOrdering.EQUAL
+    if x_dominates:
+        return MajOrdering.MAJORIZES
+    if y_dominates:
+        return MajOrdering.MAJORIZED_BY
+    return MajOrdering.INCOMPARABLE
+
+
+def reference_state_to_vector(spec, theory, tol=None):
+    """resource_theory.state_to_vector with the squared moduli summed and sorted as Fractions."""
+    if spec.amplitudes is not None:
+        if theory is ResourceTheory.PURITY:
+            raise InvalidStateSpecError("purity takes a spectrum, not amplitudes")
+        parts = _amplitude_components(spec.amplitudes)
+        values, tol = parse_values([c for part in parts for c in part], tol)
+        components = iter(values)
+        probs = [sum(c * c for c in islice(components, len(part))) for part in parts]
+    else:
+        if spec.schmidt_probs is not None:
+            if theory is not ResourceTheory.ENTANGLEMENT:
+                raise InvalidStateSpecError("Schmidt weights belong to entanglement")
+            raw = spec.schmidt_probs
+        else:
+            if theory is not ResourceTheory.PURITY:
+                raise InvalidStateSpecError("a spectrum belongs to purity")
+            raw = spec.spectrum
+        probs, tol = parse_values(raw, tol)
+    probs = tuple(sorted(probs, reverse=True))
+    try:
+        reference_check_entries(probs, tol)
+    except NegativeEntryError as exc:
+        raise NegativeProbabilityError(str(exc)) from exc
+    return _trusted(OrderedProbVector, entries=probs, tol=tol)
 
 
 def chord_envelope(values):

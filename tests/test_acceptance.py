@@ -201,7 +201,7 @@ def test_criterion_7_join_path_equivalence():
         a = random_grid_vector(rng, d, 60)
         b = random_grid_vector(rng, d, 60)
         assert join(a, b) == family_sup((a, b))
-    _report(7, "block-averaging join and envelope supremum agree on 10000 random pairs")
+    _report(7, "PAV join and envelope supremum agree on 10000 random pairs")
 
 
 def _sample_member(rng, center, eps):

@@ -133,20 +133,20 @@ class TestMeetJoin:
 
 class TestFlatten:
     def test_single_block_average(self):
-        got = _flatten(exact("0.48", "0.2", "0.22", "0.1"), 0.0)
+        got = _flatten(exact("0.48", "0.2", "0.22", "0.1"), 1, 0.0)
         assert got == (Fraction(12, 25), Fraction(21, 100), Fraction(21, 100), Fraction(1, 10))
 
     def test_sorted_input_unchanged(self):
-        assert _flatten(exact("0.5", "0.3", "0.2"), 0.0) == (
+        assert _flatten(exact("0.5", "0.3", "0.2"), 1, 0.0) == (
             Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 
     def test_forced_averaging_in_dimension_two(self):
-        assert _flatten(exact("0.2", "0.8"), 0.0) == (Fraction(1, 2), Fraction(1, 2))
+        assert _flatten(exact("0.2", "0.8"), 1, 0.0) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_agrees_with_envelope_oracle(self):
         raw = [Fraction(12, 25), Fraction(1, 5), Fraction(11, 50), Fraction(1, 10)]
         oracle = chord_envelope(cumulative_sums(raw))
-        assert cumulative_sums(_flatten(raw, 0.0)) == oracle
+        assert cumulative_sums(_flatten(raw, 1, 0.0)) == oracle
 
 
 class TestUpperEnvelope:
@@ -174,7 +174,7 @@ class TestUpperEnvelope:
         oracle = chord_envelope(values)
         assert _upper_envelope(values, 0.0) == oracle
         differences = [b - a for a, b in zip(values, values[1:])]
-        assert cumulative_sums(_flatten(differences, 0.0)) == oracle
+        assert cumulative_sums(_flatten(differences, 1, 0.0)) == oracle
 
     @given(monotone_profiles(max_d=5))
     def test_minimality_over_grid_majorants(self, values):
