@@ -118,9 +118,12 @@ def _rows_from_file(path: str) -> list[list[object]]:
     vectors = data["vectors"]
     if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
         raise ParseError(f'{path}: "vectors" must be a list of entry lists')
-    declared = data.get("d")
-    if declared is not None and any(len(v) != declared for v in vectors):
-        raise ParseError(f'{path}: vector length disagrees with "d" = {declared}')
+    if "d" in data:
+        declared = data["d"]
+        if not isinstance(declared, int) or isinstance(declared, bool) or declared < 1:
+            raise ParseError(f'{path}: "d" must be a positive integer, got {declared!r}')
+        if any(len(v) != declared for v in vectors):
+            raise ParseError(f'{path}: vector length disagrees with "d" = {declared}')
     return vectors
 
 

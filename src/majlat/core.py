@@ -153,32 +153,46 @@ def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
     """Sign, order and sum checks of parsed, non-empty vector entries, in one pass.
 
     This is the one place the vector rule is written; ball vertex listing
-    uses it too. Any negative entry is reported first, then the first rise
-    by more than tol, then a sum more than tol * d away from one. The
-    entries are checked over numeric.common_scale's one common
-    denominator: exact numerators are scaled one at a time as they are
-    checked, so memory holds one numerator and the total. sum() takes the
-    total, so a float total rounds as sum(entries) does on every Python
-    (3.12 changed that rounding).
+    uses it too. The entries are checked over numeric.common_scale's one
+    common denominator by _check_numerators: exact numerators are scaled
+    one at a time as they are checked, so memory holds one numerator and
+    the total.
     """
     one, (values,) = common_scale((entries,), tol)
+    _check_numerators(values, one, tol, len(entries))
+
+
+def _check_numerators(values: Iterable[Scalar], one: Scalar, tol: float, d: int) -> None:
+    """_check_entries on d entries as numerators over one: exact, or the floats themselves over 1.0.
+
+    Any negative entry is reported first, then the first rise by more
+    than tol, then a sum more than tol * d away from one. An exact entry
+    is shown in a message as Fraction(n, one). sum() takes the total, so
+    a float total rounds as sum(entries) does on every Python (3.12
+    changed that rounding).
+    """
     rise = []
 
     def checked():
         for i, n in enumerate(values):
             if n < -tol:
-                raise NegativeEntryError(f"negative entry {shown(entries[i])}")
+                raise NegativeEntryError(f"negative entry {_shown_entry(n, one, tol)}")
             if i and not rise and n - previous > tol:
-                rise.append(i)
+                rise.append((previous, n))
             previous = n
             yield n
 
     total = sum(checked())
     if rise:
-        i = rise[0]
-        raise NotSortedError(f"entries increase: {shown(entries[i - 1])} < {shown(entries[i])}")
-    if abs(total - one) > tol * len(entries):
-        raise NotNormalizedError(f"entries sum to {shown(Fraction(total, one) if tol == 0 else total)}, expected 1")
+        a, b = rise[0]
+        raise NotSortedError(f"entries increase: {_shown_entry(a, one, tol)} < {_shown_entry(b, one, tol)}")
+    if abs(total - one) > tol * d:
+        raise NotNormalizedError(f"entries sum to {_shown_entry(total, one, tol)}, expected 1")
+
+
+def _shown_entry(n: Scalar, one: Scalar, tol: float) -> str:
+    """An entry given as a numerator over one, shown for an error message."""
+    return shown(Fraction(n, one) if tol == 0 else n)
 
 
 def _check_cumulative(values: Sequence[Scalar], tol: float, concave: bool = True) -> None:

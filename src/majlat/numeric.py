@@ -27,42 +27,43 @@ DEFAULT_FLOAT_TOL = 1e-12
 MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
-# Plain ASCII forms, read without Fraction's string grammar: a decimal or a ratio in
-# exact mode, a decimal with an optional exponent in float mode. Every other string
-# (whitespace, underscores, non-ASCII digits, words) takes the Fraction route, so each
-# Python keeps its own Fraction grammar for them.
-_PLAIN_EXACT = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)(?:\.([0-9]*)|/([0-9]+))?")
-_PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?")
+# Plain ASCII forms, read without Fraction's string grammar: a decimal or a ratio with
+# a nonzero denominator in exact mode, a decimal with an optional exponent (group 1
+# holds its digits) in float mode. Every other string (whitespace, underscores,
+# non-ASCII digits, words, "5/0") takes the Fraction route, so each Python keeps its
+# own Fraction grammar and errors for them.
+_PLAIN_EXACT = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)(?:\.([0-9]*)|/(0*[1-9][0-9]*))?")
+_PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?([0-9]+))?")
 
 
-def _plain(pattern: re.Pattern, text: str) -> re.Match | None:
-    """pattern's full match of text; None past the int-to-text digit limit, where
-    Fraction(text) raises but int() of the joined digits or float(text) might not."""
+def _plain_scalar(text: str, exact: bool) -> Scalar | None:
+    """text read directly when it is a plain ASCII string, else None.
+
+    None past the int-to-text digit limit, where Fraction(text) raises but
+    int() of the joined digits or float(text) might not. None in float mode
+    also for an exponent above MAX_DECIMAL_EXPONENT, a negative zero and an
+    overflow, which the Fraction route reports or rounds its own way: it
+    gives 0.0 for a zero value ("-0") but -0.0 for a negative value that
+    underflows, and raises OverflowError where float() gives inf.
+    """
     limit = sys.get_int_max_str_digits()
-    return pattern.fullmatch(text) if not limit or len(text) <= limit else None
-
-
-def _exact_from_text(text: str) -> Fraction:
-    found = _plain(_PLAIN_EXACT, text)
+    if limit and len(text) > limit:
+        return None
+    found = (_PLAIN_EXACT if exact else _PLAIN_FLOAT).fullmatch(text)
     if found is None:
-        return Fraction(text)
-    whole, frac, den = found.groups()
-    if den is not None:
-        return Fraction(int(whole), int(den))
-    if frac:
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(whole))
-
-
-def _float_from_text(text: str) -> float:
-    if _plain(_PLAIN_FLOAT, text) is None:
-        return float(Fraction(text))
+        return None
+    if exact:
+        whole, frac, den = found.groups()
+        if den is not None:
+            return Fraction(int(whole), int(den))
+        if frac:
+            return Fraction(int(whole + frac), 10 ** len(frac))
+        return Fraction(int(whole))
+    digits = (found.group(1) or "").lstrip("0")
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or digits and int(digits) > MAX_DECIMAL_EXPONENT:
+        return None
     x = float(text)
-    if x == 0 and text[0] == "-" or math.isinf(x):
-        # Fraction's route gives 0.0 for a zero value ("-0") but -0.0 for a negative
-        # value that underflows, and raises OverflowError where float() gives inf.
-        return float(Fraction(text))
-    return x
+    return None if x == 0 and text[0] == "-" or math.isinf(x) else x
 
 
 def parse_scalar(value: object, exact: bool) -> Scalar:
@@ -74,14 +75,16 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
     Float mode accepts finite values only. In both modes a string's
     decimal exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude.
 
-    Plain ASCII strings within the int-to-text digit limit are read
-    directly: decimals ("-0.25", ".5", "1.") and ratios ("13/50") in exact
-    mode as Fraction(int, 10**k) and Fraction(int, int), decimals with or
-    without an exponent in float mode by float(), which rounds correctly
-    to the same value as float(Fraction(s)). Every other string goes
-    through Fraction(s), so both routes accept the same strings and give
-    equal values.
+    Plain ASCII strings within the int-to-text digit limit are tried
+    first and read directly: decimals ("-0.25", ".5", "1.") and ratios
+    ("13/50") in exact mode as Fraction(int, 10**k) and Fraction(int, int),
+    decimals with or without an exponent in float mode by float(), which
+    rounds correctly to the same value as float(Fraction(s)). Every other
+    value, and every string they decline, goes through Fraction, so both
+    routes accept the same strings and give equal values.
     """
+    if isinstance(value, str) and (x := _plain_scalar(value, exact)) is not None:
+        return x
     if isinstance(value, bool):
         raise ParseError(f"not a scalar: {value!r}")
     if isinstance(value, str) and (found := _EXPONENT.search(value)):
@@ -94,11 +97,11 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
                 "float value in exact mode; pass a decimal string, int, or Fraction"
             )
         try:
-            return _exact_from_text(value) if isinstance(value, str) else Fraction(value)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ParseError(f"not an exact scalar: {value!r}") from exc
     try:
-        x = _float_from_text(value) if isinstance(value, str) else float(value)
+        x = float(Fraction(value)) if isinstance(value, str) else float(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParseError(f"not a float scalar: {value!r}") from exc
     if not math.isfinite(x):
@@ -190,30 +193,32 @@ def shown(value: object) -> str:
 
 
 def scalar_str(value: Scalar) -> str:
-    """Canonical text form: exact decimal when terminating, 'p/q' otherwise."""
+    """Canonical text form: exact decimal when terminating, 'p/q' otherwise.
+
+    Takes a Fraction, an int or a float. An exact value p/q terminates
+    when q = 2**a * 5**b; its digits are then the integer p * 10**s / q with
+    s = max(a, b) decimal places, none of them a trailing zero because
+    p/q is in lowest terms. Past the int-to-text digit limit, str() of the
+    digits or of p raises ValueError.
+    """
     if isinstance(value, float):
         return repr(value)
-    f = Fraction(value)
-    if f < 0:
-        return "-" + scalar_str(-f)
-    twos = fives = 0
-    rest = f.denominator
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+    p, q = value.numerator, value.denominator
+    twos = (q & -q).bit_length() - 1
+    rest = q >> twos
+    fives = 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{f.numerator}/{f.denominator}"
+        return f"{p}/{q}"
     scale = max(twos, fives)
-    digits = f.numerator * 10**scale // f.denominator
+    sign = "-" if p < 0 else ""
+    digits = abs(p) * 5 ** (scale - fives) << (scale - twos)  # abs(p) * 10**scale // q
     if scale == 0:
-        return str(digits)
+        return sign + str(digits)
     text = str(digits).rjust(scale + 1, "0")
-    frac = text[-scale:].rstrip("0")
-    whole = text[:-scale]
-    return whole if not frac else f"{whole}.{frac}"
+    return f"{sign}{text[:-scale]}.{text[-scale:]}"
 
 
 def solve_square(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar], tol: float) -> list[Scalar] | None:

@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import islice
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_dimension, _check_entries, _Frozen, _trusted
+from .core import OrderedProbVector, _check_dimension, _check_entries, _check_numerators, _Frozen, _trusted
 from .errors import (
     AlphaMinOutOfRangeError,
     AlphaOutOfRangeError,
@@ -91,8 +91,8 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
     Coherence and entanglement accept amplitudes (entanglement also takes
     Schmidt weights directly); purity takes a spectrum. The result is the
     squared moduli where applicable, sorted non-increasing. Exact moduli
-    are squared, summed and sorted as integer numerators over one², and
-    built as Fractions once they are in order.
+    are squared, summed, sorted and checked as integer numerators over
+    one², and built as Fractions once they are in order.
     """
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
@@ -101,8 +101,10 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         values, tol = parse_values([c for part in parts for c in part], tol)
         one, (numerators,) = common_scale((values,), tol)
         components = iter(numerators)  # each squared modulus takes its own parts
-        squares = [sum(c * c for c in islice(components, len(part))) for part in parts]
-        probs = unscale(sorted(squares, reverse=True), one * one, tol)
+        squares = sorted((sum(c * c for c in islice(components, len(part))) for part in parts), reverse=True)
+        # Squares are never negative, so only the unit-sum test can fail here.
+        _check_numerators(squares, one * one, tol, len(squares))
+        probs = unscale(squares, one * one, tol)
     else:
         if spec.schmidt_probs is not None:
             if theory is not ResourceTheory.ENTANGLEMENT:
@@ -114,10 +116,10 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
             raw = spec.spectrum
         probs, tol = parse_values(raw, tol)
         probs = tuple(sorted(probs, reverse=True))
-    try:
-        _check_entries(probs, tol)
-    except NegativeEntryError as exc:  # only given probabilities can be negative
-        raise NegativeProbabilityError(str(exc)) from exc
+        try:
+            _check_entries(probs, tol)
+        except NegativeEntryError as exc:
+            raise NegativeProbabilityError(str(exc)) from exc
     return _trusted(OrderedProbVector, entries=probs, tol=tol)
 
 

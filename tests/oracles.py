@@ -3,8 +3,8 @@
 Everything here is deliberately naive: exhaustive chords for the concave
 majorant, full grid enumeration for optimality, plain sums for distances,
 Fraction's own string grammar for parsing, Fraction arithmetic for the
-entry checks, the lattice kernels and the squared moduli, and a ball test
-with its own copy of the entry checks.
+canonical text of a value, the entry checks, the lattice kernels and the
+squared moduli, and a ball test with its own copy of the entry checks.
 """
 
 import math
@@ -55,6 +55,34 @@ def reference_parse_scalar(value, exact):
     if not math.isfinite(x):
         raise ParseError(f"not a finite float: {value!r}")
     return x
+
+
+def reference_scalar_str(value):
+    """numeric.scalar_str as it was before it worked on the integers of the value:
+    Fraction sign tests and a division of numerator * 10**scale by the denominator."""
+    if isinstance(value, float):
+        return repr(value)
+    f = Fraction(value)
+    if f < 0:
+        return "-" + reference_scalar_str(-f)
+    twos = fives = 0
+    rest = f.denominator
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{f.numerator}/{f.denominator}"
+    scale = max(twos, fives)
+    digits = f.numerator * 10**scale // f.denominator
+    if scale == 0:
+        return str(digits)
+    text = str(digits).rjust(scale + 1, "0")
+    frac = text[-scale:].rstrip("0")
+    whole = text[:-scale]
+    return whole if not frac else f"{whole}.{frac}"
 
 
 def reference_check_entries(entries, tol):

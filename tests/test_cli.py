@@ -278,6 +278,17 @@ class TestExitCodes:
         path = write_vectors(tmp_path / "dim.json", [FIG_X, FIG_Y], d=3)
         assert run_cli("meet", "-i", str(path)) == 2
 
+    @pytest.mark.parametrize("declared, vector", [
+        (True, ["1"]),  # equal to 1, but a bool
+        (2.0, ["0.5", "0.5"]),  # equal to 2, but a float
+        ("2", ["0.5", "0.5"]),  # a string, unequal to every length
+    ], ids=["bool", "float", "string"])
+    def test_declared_dimension_must_be_a_positive_integer(self, tmp_path, declared, vector, capsys):
+        path = write_vectors(tmp_path / "d.json", [vector], d=declared)
+        assert run_cli("inf", "-i", path) == 2
+        err = capsys.readouterr().err
+        assert err == f'majlat: {path}: "d" must be a positive integer, got {declared!r}\n'
+
     def test_result_too_large_to_print_is_three(self, tmp_path, capsys):
         # the meet's second entry has a denominator of about 8000 digits
         a, b = 10**4000 + 7, 10**4000 + 9

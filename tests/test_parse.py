@@ -1,11 +1,13 @@
-"""Parsing and entry checks against the Fraction-only references in oracles.py.
+"""Parsing, entry checks and canonical text against the Fraction-only references in oracles.py.
 
 parse_scalar reads plain ASCII decimals and ratios directly and sends every
 other string through Fraction. _check_entries checks both modes in one pass,
 exact entries on integer numerators scaled one at a time, so its memory holds
 one numerator and the total. Both must behave exactly as the references do:
 equal values of the same type (the same repr in float mode, signed zero
-included) and the same exception class and message.
+included) and the same exception class and message. scalar_str works on the
+numerator and denominator as integers and must give the reference's text, or
+its ValueError past the int-to-text digit limit.
 """
 
 import json
@@ -21,9 +23,9 @@ from majlat import make_vector
 from majlat.cli import main
 from majlat.core import _check_entries
 from majlat.errors import MajlatError, NotNormalizedError
-from majlat.numeric import parse_scalar
+from majlat.numeric import parse_scalar, scalar_str
 
-from .oracles import reference_check_entries, reference_parse_scalar
+from .oracles import reference_check_entries, reference_parse_scalar, reference_scalar_str
 
 _sign = st.sampled_from(["", "-", "+"])
 _digits = st.text("0123456789", max_size=12)
@@ -63,6 +65,8 @@ _SPECIAL = [
     "1 /2", "1/ 2", " 1/2 ", "1\t/2", "1_0.5", "1_0/3", "1e1_0", "1__0", "_1", "1_",
     "0." + "0" * 5000 + "1", "1" * 4300, "1" * 4301, "-" + "1" * 4300, "1" * 3000 + "." + "1" * 3000,
     "1" * 400, "1" * 400 + "/3", "0x10", "1.5e", ".e1", ".", "", "-", "/", "5/0", "0/0", "1/-2",
+    "5/00", "-3/007", "007/010", "1e10000", "1e-10000", "1e10001", "1e-10001", "-.5E+10001", "1.e-10001",
+    "1e" + "0" * 20 + "10000", "1e" + "0" * 20 + "10001", "1e" + "9" * 5000,
 ]
 
 
@@ -184,3 +188,43 @@ def test_cli_float_meet_on_negative_zero_row(tmp_path, capsys, monkeypatch):
         '  "result": {\n    "d": 3,\n    "vectors": [\n'
         '      [\n        "0.5",\n        "0.5",\n        "0.0"\n      ]\n    ]\n  }\n}\n'
     )
+
+
+_decimal_denominators = st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 60), st.integers(0, 60))
+_denominators = _decimal_denominators | st.builds(  # times a factor other than 2 and 5: no terminating decimal
+    lambda q, k: q * (10 * k + 3), _decimal_denominators, st.integers(0, 10**6)
+)
+_LIMIT = 4300  # Python's default int-to-text digit limit
+
+
+def _text(value):
+    """scalar_str's and the reference's text of value, or the ValueError each raises."""
+    outcomes = []
+    for fn in (scalar_str, reference_scalar_str):
+        try:
+            outcomes.append(fn(value))
+        except ValueError as exc:
+            outcomes.append((ValueError, str(exc)))
+    return outcomes
+
+
+@given(st.integers() | st.fractions() | st.floats() | st.builds(Fraction, st.integers(), _denominators))
+@example(Fraction(0))
+@example(0)
+@example(-0.0)
+@example(Fraction(-1, 2**60 * 5**60))
+def test_scalar_str_matches_fraction_route(value):
+    got, want = _text(value)
+    assert got == want
+
+
+# Values past the digit limit are built inside the test: hypothesis shows each
+# example by repr, which raises for them.
+@given(st.sampled_from([1, -1]), st.integers(_LIMIT - 70, _LIMIT + 5), st.integers(0, 10**6), _denominators)
+@example(1, _LIMIT, -1, 1)  # the last integer of _LIMIT digits
+@example(-1, _LIMIT, 0, 1)
+@example(1, _LIMIT - 20, 1, 2**41)  # its digits pass the limit only once scaled by 5**41
+@example(1, _LIMIT, 1, 3)
+def test_scalar_str_matches_fraction_route_at_the_digit_limit(sign, n, r, q):
+    got, want = _text(Fraction(sign * (10**n + r), q))
+    assert got == want
