@@ -40,8 +40,8 @@ def strings(vector):
 
 def dump(name, payload, curves):
     OUT.mkdir(exist_ok=True)
-    (OUT / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
-    (OUT / f"{name}.svg").write_text(emit_lorenz_svg(curves))
+    (OUT / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (OUT / f"{name}.svg").write_text(emit_lorenz_svg(curves), encoding="utf-8")
     print(f"{name}:")
     for key, value in payload.items():
         print(f"  {key}: {value}")

@@ -54,7 +54,7 @@ class _Frozen:
 
     Equal only to an object of the same class with equal fields, hashed
     by the field tuple, shown as Class(field=value, ...). Fields are set
-    once, by object.__setattr__ in __init__ or by _trusted.
+    once, in __init__ or by _trusted.
     """
 
     _fields: tuple[str, ...]
@@ -87,17 +87,14 @@ class OrderedProbVector(_Frozen):
     Entries are parsed by numeric.resolve_mode's rule: all Fractions
     (exact mode, tol == 0) or all floats (float mode, tol > 0);
     downstream comparisons treat differences within tol as equality.
+    The constructor is make_vector(entries, tol=tol), the one door for
+    raw entries.
     """
 
     _fields = ("entries", "tol")
 
-    def __init__(self, entries: tuple[Scalar, ...], tol: float = 0.0):
-        if not entries:
-            raise EmptyInputError("a probability vector needs at least one entry")
-        entries, tol = parse_values(tuple(entries), tol)
-        _check_entries(entries, tol)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "tol", tol)
+    def __init__(self, entries: Iterable[Scalar], tol: float = 0.0):
+        self.__dict__.update(vars(make_vector(entries, tol=tol)))
 
     @property
     def d(self) -> int:
@@ -112,7 +109,7 @@ class OrderedProbVector(_Frozen):
 
     def to_float(self, tol: float = DEFAULT_FLOAT_TOL) -> "OrderedProbVector":
         """Float-mode copy; the inverse direction needs a fresh exact parse."""
-        return OrderedProbVector(tuple(float(e) for e in self.entries), tol)
+        return OrderedProbVector(map(float, self.entries), tol)
 
     def __str__(self) -> str:
         return "[" + ", ".join(scalar_str(e) for e in self.entries) + "]"
@@ -127,10 +124,11 @@ class LorenzCurve(_Frozen):
 
     _fields = ("values", "tol")
 
-    def __init__(self, values: tuple[Scalar, ...], tol: float = 0.0):
+    def __init__(self, values: Iterable[Scalar], tol: float = 0.0):
+        values = tuple(values)
         if len(values) < 2:
             raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
-        values, tol = parse_values(tuple(values), tol)
+        values, tol = parse_values(values, tol)
         _check_cumulative(values, tol)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tol", tol)
@@ -292,7 +290,7 @@ def curve_to_vector(curve) -> OrderedProbVector:
     validated, raising BadEndpoints/NotMonotone/NotConcave as needed).
     """
     if not isinstance(curve, LorenzCurve):
-        curve = LorenzCurve(tuple(curve))
+        curve = LorenzCurve(curve)
     return _from_sums(curve.values, curve.tol)
 
 

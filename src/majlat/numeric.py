@@ -199,17 +199,26 @@ def scalar_str(value: Scalar) -> str:
     when q = 2**a * 5**b; its digits are then the integer p * 10**s / q with
     s = max(a, b) decimal places, none of them a trailing zero because
     p/q is in lowest terms. Past the int-to-text digit limit, str() of the
-    digits or of p raises ValueError.
+    digits or of p raises ValueError. Finding b takes O(log b) big-int
+    steps: q is divided by 5, 5**2, 5**4, ... while each divides, then by
+    the same powers back down.
     """
     if isinstance(value, float):
         return repr(value)
     p, q = value.numerator, value.denominator
     twos = (q & -q).bit_length() - 1
     rest = q >> twos
-    fives = 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
+    fives, powers, power = 0, [], 5
+    while rest % power == 0:
+        rest //= power
+        fives += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    while powers:
+        power = powers.pop()
+        if rest % power == 0:
+            rest //= power
+            fives += 1 << len(powers)
     if rest != 1:
         return f"{p}/{q}"
     scale = max(twos, fives)

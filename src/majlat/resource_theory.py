@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import islice
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_dimension, _check_entries, _check_numerators, _Frozen, _trusted
+from .core import OrderedProbVector, _check_dimension, _check_numerators, _Frozen, _trusted, make_vector
 from .errors import (
     AlphaMinOutOfRangeError,
     AlphaOutOfRangeError,
@@ -92,7 +92,8 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
     Schmidt weights directly); purity takes a spectrum. The result is the
     squared moduli where applicable, sorted non-increasing. Exact moduli
     are squared, summed, sorted and checked as integer numerators over
-    one², and built as Fractions once they are in order.
+    one², and built as Fractions once they are in order. Schmidt weights
+    and spectra are vector entries and enter through make_vector.
     """
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
@@ -104,23 +105,19 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         squares = sorted((sum(c * c for c in islice(components, len(part))) for part in parts), reverse=True)
         # Squares are never negative, so only the unit-sum test can fail here.
         _check_numerators(squares, one * one, tol, len(squares))
-        probs = unscale(squares, one * one, tol)
+        return _trusted(OrderedProbVector, entries=unscale(squares, one * one, tol), tol=tol)
+    if spec.schmidt_probs is not None:
+        if theory is not ResourceTheory.ENTANGLEMENT:
+            raise InvalidStateSpecError("Schmidt weights belong to entanglement")
+        raw = spec.schmidt_probs
     else:
-        if spec.schmidt_probs is not None:
-            if theory is not ResourceTheory.ENTANGLEMENT:
-                raise InvalidStateSpecError("Schmidt weights belong to entanglement")
-            raw = spec.schmidt_probs
-        else:
-            if theory is not ResourceTheory.PURITY:
-                raise InvalidStateSpecError("a spectrum belongs to purity")
-            raw = spec.spectrum
-        probs, tol = parse_values(raw, tol)
-        probs = tuple(sorted(probs, reverse=True))
-        try:
-            _check_entries(probs, tol)
-        except NegativeEntryError as exc:
-            raise NegativeProbabilityError(str(exc)) from exc
-    return _trusted(OrderedProbVector, entries=probs, tol=tol)
+        if theory is not ResourceTheory.PURITY:
+            raise InvalidStateSpecError("a spectrum belongs to purity")
+        raw = spec.spectrum
+    try:
+        return make_vector(raw, sort=True, tol=tol)
+    except NegativeEntryError as exc:
+        raise NegativeProbabilityError(str(exc)) from exc
 
 
 def optimal_common_resource(family, theory: ResourceTheory) -> OrderedProbVector:

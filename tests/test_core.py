@@ -63,8 +63,11 @@ class TestMakeVector:
             make_vector(["0.5", "0.7", "-0.2"], sort=True)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            make_vector([])
+        # The constructor builds through make_vector, so both doors say the same.
+        for build in (make_vector, OrderedProbVector):
+            for raw in ([], iter(())):
+                with pytest.raises(EmptyInputError, match="no entries given"):
+                    build(raw)
 
     def test_zero_sum_normalize_rejected(self):
         with pytest.raises(NotNormalizedError):
@@ -99,7 +102,7 @@ class TestTopBottom:
         assert bottom(4).entries == (Fraction(1, 4),) * 4
 
     def test_dimension_one_collapse(self):
-        assert top(1) == bottom(1)
+        assert top(1) == bottom(1) == OrderedProbVector(x for x in ("1",))
         assert top(1).entries == (1,)
 
     @pytest.mark.parametrize("d", [0, -2, 1.5])
@@ -124,6 +127,7 @@ class TestLorenzCurve:
     def test_curve_to_vector_differences(self):
         v = curve_to_vector(["0", "0.5", "0.85", "1"])
         assert v.entries == (Fraction(1, 2), Fraction(7, 20), Fraction(3, 20))
+        assert curve_to_vector(LorenzCurve(x for x in (0, 1))) == top(1)
 
     @given(vectors())
     def test_round_trip(self, v):
@@ -147,6 +151,8 @@ class TestLorenzCurve:
             LorenzCurve((Fraction(1, 10), Fraction(1, 2), Fraction(1)))
         with pytest.raises(BadEndpointsError):
             LorenzCurve((Fraction(0), Fraction(1, 2), Fraction(9, 10)))
+        with pytest.raises(BadEndpointsError):
+            LorenzCurve(iter(()))
 
     def test_value_at_interpolates(self):
         curve = partial_sums(make_vector(FIG_X))

@@ -184,6 +184,29 @@ def _amplitudes(draw):
     return amplitudes
 
 
+@st.composite
+def _probabilities(draw):
+    """Schmidt weights or a spectrum in any order, as Fractions, ints and "p/q" strings: unit
+    sum or not, some entries negative."""
+    weights = draw(st.lists(st.integers(-2, 9), min_size=1, max_size=9))
+    if sum(weights) > 0 and draw(st.booleans()):
+        probs = [Fraction(w, sum(weights)) for w in weights]
+    else:
+        probs = [Fraction(w, draw(st.integers(1, 12))) for w in weights]
+    return [draw(st.sampled_from([p, str(p)] + [int(p)] * (p.denominator == 1))) for p in probs]
+
+
+def _states():
+    """(field, data, theory): amplitudes under coherence or entanglement, Schmidt weights
+    under entanglement, a spectrum under purity."""
+    return (
+        st.tuples(st.just("amplitudes"), _amplitudes(),
+                  st.sampled_from([ResourceTheory.COHERENCE, ResourceTheory.ENTANGLEMENT]))
+        | st.tuples(st.just("schmidt_probs"), _probabilities(), st.just(ResourceTheory.ENTANGLEMENT))
+        | st.tuples(st.just("spectrum"), _probabilities(), st.just(ResourceTheory.PURITY))
+    )
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -195,15 +218,22 @@ def _as_float(a):
     return tuple(float(Fraction(c)) for c in a) if isinstance(a, tuple) else float(Fraction(a))
 
 
-@given(_amplitudes(), st.sampled_from([ResourceTheory.COHERENCE, ResourceTheory.ENTANGLEMENT]))
-@example(["3/5", "4/5"], ResourceTheory.COHERENCE)
-@example(["0.6", ("0", "0.8")], ResourceTheory.ENTANGLEMENT)
-@example(["1/2", "-1/2", "1/2", "1/2"], ResourceTheory.COHERENCE)
-@example(["1"], ResourceTheory.COHERENCE)
-@example(["1/2", "1/2"], ResourceTheory.COHERENCE)  # not normalized
-def test_state_to_vector_matches_reference(amplitudes, theory):
-    for spec, tol in ((StateSpec(amplitudes=tuple(amplitudes)), None),
-                      (StateSpec(amplitudes=tuple(map(_as_float, amplitudes))), 1e-12)):
+@given(_states())
+@example(("amplitudes", ["3/5", "4/5"], ResourceTheory.COHERENCE))
+@example(("amplitudes", ["0.6", ("0", "0.8")], ResourceTheory.ENTANGLEMENT))
+@example(("amplitudes", ["1/2", "-1/2", "1/2", "1/2"], ResourceTheory.COHERENCE))
+@example(("amplitudes", ["1"], ResourceTheory.COHERENCE))
+@example(("amplitudes", ["1/2", "1/2"], ResourceTheory.COHERENCE))  # not normalized
+@example(("spectrum", ["1/4", "1/2", "1/4"], ResourceTheory.PURITY))  # not sorted
+@example(("schmidt_probs", ["0.2", 1, "-0.2"], ResourceTheory.ENTANGLEMENT))  # negative
+@example(("spectrum", ["1/2", "1/3"], ResourceTheory.PURITY))  # not normalized
+@example(("schmidt_probs", [Fraction(1, 4), "0.25", 0, "1/2"], ResourceTheory.ENTANGLEMENT))
+@example(("spectrum", ["0.5", 0.5], ResourceTheory.PURITY))  # floats mixed with strings
+@example(("spectrum", ["1/2", "1/2"], ResourceTheory.ENTANGLEMENT))  # wrong theory
+def test_state_to_vector_matches_reference(state):
+    field, data, theory = state
+    for spec, tol in ((StateSpec(**{field: tuple(data)}), None),
+                      (StateSpec(**{field: tuple(map(_as_float, data))}), 1e-12)):
         got = _outcome(state_to_vector, spec, theory, tol=tol)
         want = _outcome(reference_state_to_vector, spec, theory, tol=tol)
         if isinstance(want, tuple):

@@ -12,6 +12,7 @@ its ValueError past the int-to-text digit limit.
 
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -208,14 +209,37 @@ def _text(value):
     return outcomes
 
 
-@given(st.integers() | st.fractions() | st.floats() | st.builds(Fraction, st.integers(), _denominators))
-@example(Fraction(0))
-@example(0)
-@example(-0.0)
-@example(Fraction(-1, 2**60 * 5**60))
-def test_scalar_str_matches_fraction_route(value):
+@given(
+    st.integers() | st.fractions() | st.floats() | st.builds(Fraction, st.integers(), _denominators),
+    st.integers(0, _LIMIT + 100),
+    st.integers(0, _LIMIT + 100),
+)
+@example(Fraction(0), 0, 0)
+@example(0, 0, 0)
+@example(-0.0, 0, 0)
+@example(Fraction(-1, 2**60 * 5**60), 0, 0)
+@example(1, _LIMIT, _LIMIT)
+@example(-7, 0, _LIMIT + 1)
+@example(Fraction(3, 7), _LIMIT, _LIMIT - 1)
+def test_scalar_str_matches_fraction_route(value, a, b):
+    """value, and an exact value over a further 2**a * 5**b: a denominator with
+    about as many factors of five as the digit limit, on either side of it. That
+    value is built here, since hypothesis shows each example by repr, which raises
+    past the limit."""
     got, want = _text(value)
     assert got == want
+    if not isinstance(value, float):
+        got, want = _text(Fraction(value, 2**a * 5**b))
+        assert got == want
+
+
+def test_scalar_str_time_grows_slowly_with_factors_of_five():
+    # Stripping the 4000 factors of five one division at a time takes about 10 ms a call.
+    value = Fraction(1, 10**4000)
+    start = time.perf_counter()
+    for _ in range(300):
+        scalar_str(value)
+    assert time.perf_counter() - start < 1
 
 
 # Values past the digit limit are built inside the test: hypothesis shows each
@@ -225,6 +249,8 @@ def test_scalar_str_matches_fraction_route(value):
 @example(-1, _LIMIT, 0, 1)
 @example(1, _LIMIT - 20, 1, 2**41)  # its digits pass the limit only once scaled by 5**41
 @example(1, _LIMIT, 1, 3)
+@example(1, 3000, 0, 5**_LIMIT)  # 4295 digits once scaled by 2**4300
+@example(-1, 3010, 7, 5**_LIMIT)  # 4305 digits
 def test_scalar_str_matches_fraction_route_at_the_digit_limit(sign, n, r, q):
     got, want = _text(Fraction(sign * (10**n + r), q))
     assert got == want
