@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _rows_from_file(path: str) -> list[list[object]]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             if path.lower().endswith(".csv"):
                 return [[cell.strip() for cell in row] for row in csv.reader(handle) if row]
             data = json.load(handle)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -54,7 +54,7 @@ class _Frozen:
 
     Equal only to an object of the same class with equal fields, hashed
     by the field tuple, shown as Class(field=value, ...). Fields are set
-    once, in __init__ or by _trusted.
+    once, in __init__ or by _trusted, by one update of __dict__.
     """
 
     _fields: tuple[str, ...]
@@ -130,8 +130,7 @@ class LorenzCurve(_Frozen):
             raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
         values, tol = parse_values(values, tol)
         _check_cumulative(values, tol)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tol", tol)
+        self.__dict__.update(values=values, tol=tol)
 
     @property
     def d(self) -> int:
@@ -273,9 +272,14 @@ def bottom(d: int, *, tol: float | None = None) -> OrderedProbVector:
     return _trusted(OrderedProbVector, entries=(share,) * d, tol=tol_eff)
 
 
+def _differences(sums: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Finite differences S_1 - S_0, ..., S_d - S_{d-1} of cumulative values."""
+    return tuple(b - a for a, b in pairwise(sums))
+
+
 def _from_sums(sums: Sequence[Scalar], tol: float) -> OrderedProbVector:
     """Finite differences of valid cumulative values S_0..S_d, trusted."""
-    return _trusted(OrderedProbVector, entries=tuple(b - a for a, b in zip(sums, sums[1:])), tol=tol)
+    return _trusted(OrderedProbVector, entries=_differences(sums), tol=tol)
 
 
 def partial_sums(x: OrderedProbVector) -> LorenzCurve:

@@ -26,10 +26,10 @@ them, and their outputs skip the public constructors' checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_cumulative, _from_sums, _Frozen, _trusted, pair_tolerance
+from .core import OrderedProbVector, _check_cumulative, _differences, _from_sums, _Frozen, _trusted, pair_tolerance
 from .errors import (
     BadEndpointsError,
     EmptyFamilyError,
@@ -68,10 +68,7 @@ class ExtremalFamily(_Frozen):
         for k in range(d + 1):
             if not geq(upper[k], lower[k], tol):
                 raise InvalidExtremalError(f"upper map below lower map at k={k}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "tol", tol)
+        self.__dict__.update(d=d, lower=lower, upper=upper, tol=tol)
 
 
 def _members(family: Sequence[OrderedProbVector]) -> tuple[tuple[OrderedProbVector, ...], float]:
@@ -95,10 +92,6 @@ def _fold(family, pick) -> tuple[tuple[Scalar, ...], Scalar, float]:
     one, rows = common_scale([m.entries for m in members], tol)
     zero = one * 0
     return tuple(map(pick, zip(*(accumulate(row, initial=zero) for row in rows)))), one, tol
-
-
-def _differences(sums: Sequence[Scalar]) -> list[Scalar]:
-    return [b - a for a, b in pairwise(sums)]
 
 
 def meet(x: OrderedProbVector, y: OrderedProbVector) -> OrderedProbVector:

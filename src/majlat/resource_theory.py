@@ -58,16 +58,15 @@ class StateSpec(_Frozen):
 
     def __init__(self, amplitudes: tuple | None = None, schmidt_probs: tuple | None = None,
                  spectrum: tuple | None = None):
-        for name, value in zip(self._fields, (amplitudes, schmidt_probs, spectrum)):
-            object.__setattr__(self, name, value)
-        given = [f for f in self._fields if getattr(self, f) is not None]
+        fields = dict(zip(self._fields, (amplitudes, schmidt_probs, spectrum)))
+        given = [f for f, value in fields.items() if value is not None]
         if len(given) != 1:
             raise InvalidStateSpecError(f"exactly one data field required, got {given or 'none'}")
         field = given[0]
-        data = tuple(getattr(self, field))
-        if not data:
+        fields[field] = tuple(fields[field])
+        if not fields[field]:
             raise EmptyInputError(f"{field} must not be empty")
-        object.__setattr__(self, field, data)
+        self.__dict__.update(fields)
 
 
 def _amplitude_components(amplitudes: Sequence[object]) -> list[tuple]:

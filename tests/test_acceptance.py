@@ -237,7 +237,7 @@ def test_criterion_8_approximation_sandwich():
 
 def test_criterion_9_cli_determinism(tmp_path):
     pair = tmp_path / "pair.json"
-    pair.write_text(json.dumps({"d": 4, "vectors": [FIG_X, FIG_Y]}))
+    pair.write_text(json.dumps({"d": 4, "vectors": [FIG_X, FIG_Y]}), encoding="utf-8")
     out = tmp_path / "result.json"
     svg = tmp_path / "curves.svg"
     argv = [

@@ -36,7 +36,7 @@ def write_vectors(path, vectors, d=None):
     doc = {"vectors": vectors}
     if d is not None:
         doc["d"] = d
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -50,7 +50,7 @@ def run_cli(*argv):
 
 
 def read_result(path):
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestCommands:
@@ -92,11 +92,14 @@ class TestCommands:
 
     def test_meet_join_match_library(self, pair_file, tmp_path):
         x, y = make_vector(FIG_X), make_vector(FIG_Y)
-        for command, op in [("meet", meet), ("join", join)]:
-            out = tmp_path / f"{command}.json"
-            assert run_cli(command, "-i", pair_file, "-o", str(out)) == 0
-            got = read_result(out)["result"]["rationals"][0]
-            assert got == [str(e) for e in op(x, y).entries]
+        with_bom = tmp_path / "pair-bom.json"  # a UTF-8 byte-order mark is skipped
+        with_bom.write_text("\ufeff" + Path(pair_file).read_text(encoding="utf-8"), encoding="utf-8")
+        for path in (pair_file, str(with_bom)):
+            for command, op in [("meet", meet), ("join", join)]:
+                out = tmp_path / f"{command}.json"
+                assert run_cli(command, "-i", path, "-o", str(out)) == 0
+                got = read_result(out)["result"]["rationals"][0]
+                assert got == [str(e) for e in op(x, y).entries]
 
     def test_polytope(self, tmp_path):
         path = write_vectors(tmp_path / "hull.json",
@@ -145,16 +148,17 @@ class TestCommands:
         svg = tmp_path / "curves.svg"
         out = tmp_path / "result.json"
         assert run_cli("lorenz", "-i", pair_file, "--svg", str(svg), "-o", str(out)) == 0
-        text = svg.read_text()
+        text = svg.read_text(encoding="utf-8")
         assert text.count("<polyline") == 2
         assert read_result(out)["svg"] == str(svg)
 
     def test_csv_input(self, tmp_path):
-        path = tmp_path / "pair.csv"
-        path.write_text("0.6,0.16,0.16,0.08\n0.5,0.3,0.1,0.1\n")
-        out = tmp_path / "result.json"
-        assert run_cli("meet", "-i", str(path), "-o", str(out)) == 0
-        assert read_result(out)["result"]["vectors"] == [["0.5", "0.26", "0.14", "0.1"]]
+        for name, bom in [("pair.csv", ""), ("pair-bom.csv", "\ufeff")]:  # a UTF-8 byte-order mark is skipped
+            path = tmp_path / name
+            path.write_text(bom + "0.6,0.16,0.16,0.08\n0.5,0.3,0.1,0.1\n", encoding="utf-8")
+            out = tmp_path / "result.json"
+            assert run_cli("meet", "-i", str(path), "-o", str(out)) == 0
+            assert read_result(out)["result"]["vectors"] == [["0.5", "0.26", "0.14", "0.1"]]
 
     def test_float_mode(self, pair_file, tmp_path):
         out = tmp_path / "result.json"
@@ -227,12 +231,12 @@ class TestExitCodes:
 
     def test_malformed_json_is_two(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         assert run_cli("meet", "-i", str(path)) == 2
 
     def test_wrong_schema_is_two(self, tmp_path):
         path = tmp_path / "schema.json"
-        path.write_text(json.dumps({"rows": []}))
+        path.write_text(json.dumps({"rows": []}), encoding="utf-8")
         assert run_cli("meet", "-i", str(path)) == 2
 
     def test_dimension_above_cap_is_three(self):
@@ -271,7 +275,7 @@ class TestExitCodes:
 
     def test_float_json_numbers_rejected_in_exact_mode(self, tmp_path):
         path = tmp_path / "floats.json"
-        path.write_text(json.dumps({"vectors": [[0.6, 0.4], [0.5, 0.5]]}))
+        path.write_text(json.dumps({"vectors": [[0.6, 0.4], [0.5, 0.5]]}), encoding="utf-8")
         assert run_cli("meet", "-i", str(path)) == 1
 
     def test_declared_dimension_mismatch_is_two(self, tmp_path):
@@ -318,7 +322,7 @@ class TestExitCodes:
     ], ids=["csv-overflow", "json-overflow", "json-nan"])
     def test_non_finite_float_entry_is_two(self, tmp_path, name, text, capsys):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert run_cli("meet", "--mode", "float", "-i", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("majlat: not a") and err.count("\n") == 1
@@ -330,7 +334,7 @@ class TestExitCodes:
     ], ids=["unnormalized", "negative-entry", "negative-radius"])
     def test_value_past_digit_limit_in_message_is_one(self, tmp_path, argv, text, capsys):
         path = tmp_path / "f.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert run_cli(*argv, "-i", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("majlat: N") and err.count("\n") == 1
@@ -339,10 +343,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_huge_decimal_exponent_is_two(self, mode, tmp_path):
         path = tmp_path / "big.csv"
-        path.write_text("1e99999999,0\n")
+        path.write_text("1e99999999,0\n", encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "majlat", "meet", "--mode", mode, "-i", str(path)],
                               env=dict(os.environ, PYTHONPATH=str(Path(majlat.__file__).parents[1])),
-                              capture_output=True, text=True, timeout=20)
+                              capture_output=True, encoding="utf-8", timeout=20)
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.startswith("majlat: decimal exponent") and proc.stderr.count("\n") == 1
 
@@ -455,5 +459,5 @@ def test_import_loads_no_xml_or_network_modules():
     heavy = ("xml.sax", "http.client", "email", "dataclasses", "inspect", "ast", "dis", "tokenize")
     code = f"import sys, majlat.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(majlat.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", check=True)
     assert proc.stdout.strip() == "[]"

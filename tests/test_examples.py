@@ -32,6 +32,6 @@ def test_script_imports_majlat_from_the_checkout_without_pythonpath(tmp_path):
         "print(sys.modules['majlat'].__file__)"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert Path(proc.stdout.strip()).is_relative_to(ROOT / "src")

@@ -179,7 +179,8 @@ def test_float_mode_signed_zero(raw, shown):
 
 def test_cli_float_meet_on_negative_zero_row(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "z.json").write_text(json.dumps({"vectors": [["0.5", "0.5", "-0.000"], ["1", "0", "0"]]}))
+    rows = [["0.5", "0.5", "-0.000"], ["1", "0", "0"]]
+    (tmp_path / "z.json").write_text(json.dumps({"vectors": rows}), encoding="utf-8")
     assert main(["meet", "-i", "z.json", "--mode", "float"]) == 0
     assert capsys.readouterr().out == (
         '{\n  "command": "meet",\n  "mode": "float",\n  "tolerance": "1e-12",\n  "inputs": {\n'
