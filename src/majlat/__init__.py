@@ -7,6 +7,8 @@ convex polytopes and l1 balls, and optimal-common-resource resolution for
 majorization-based resource theories.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     LorenzCurve,
     MajOrdering,
@@ -19,30 +21,7 @@ from .core import (
     partial_sums,
     top,
 )
-from .errors import (
-    AlphaMinOutOfRangeError,
-    AlphaOutOfRangeError,
-    BadEndpointsError,
-    BlockDimensionError,
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    EmptyFamilyError,
-    EmptyInputError,
-    InputArityError,
-    InvalidExtremalError,
-    InvalidStateSpecError,
-    MajlatError,
-    ModeMismatchError,
-    NegativeEntryError,
-    NegativeProbabilityError,
-    NegativeRadiusError,
-    NotConcaveError,
-    NotMonotoneError,
-    NotNormalizedError,
-    NotSortedError,
-    ParseError,
-    ZeroDimensionError,
-)
+from .errors import *  # errors.py defines nothing but exception classes
 from .lattice import (
     ExtremalFamily,
     family_inf,
@@ -75,62 +54,8 @@ from .svg import emit_lorenz_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaMinOutOfRangeError",
-    "AlphaOutOfRangeError",
-    "BadEndpointsError",
-    "Ball",
-    "BlockDimensionError",
-    "DEFAULT_FLOAT_TOL",
-    "DimensionMismatchError",
-    "DimensionTooLargeError",
-    "Direction",
-    "EmptyFamilyError",
-    "EmptyInputError",
-    "ExtremalFamily",
-    "InputArityError",
-    "InvalidExtremalError",
-    "InvalidStateSpecError",
-    "LorenzCurve",
-    "MajOrdering",
-    "MajlatError",
-    "ModeMismatchError",
-    "NegativeEntryError",
-    "NegativeProbabilityError",
-    "NegativeRadiusError",
-    "NotConcaveError",
-    "NotMonotoneError",
-    "NotNormalizedError",
-    "NotSortedError",
-    "OrderedProbVector",
-    "ParseError",
-    "Polytope",
-    "ResourceTheory",
-    "Scalar",
-    "StateSpec",
-    "ZeroDimensionError",
-    "ball_vertices",
-    "bottom",
-    "compare",
-    "curve_to_vector",
-    "emit_lorenz_svg",
-    "family_inf",
-    "family_sup",
-    "first_component_family",
-    "flattest_approx",
-    "join",
-    "majorizes",
-    "make_vector",
-    "meet",
-    "ocr_first_component_bound",
-    "ocr_two_block_superposition",
-    "optimal_common_resource",
-    "partial_sums",
-    "polytope_inf",
-    "polytope_sup",
-    "scalar_str",
-    "state_to_vector",
-    "steepest_approx",
-    "top",
-    "two_block_family",
-]
+# The public names are the ones imported above: no underscore, no submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the result document here instead of stdout")
     common.add_argument("--mode", choices=("exact", "float"), default="exact")
     common.add_argument("--tol", type=float, default=None,
-                        help="absolute tolerance > 0 (float mode only; default 1e-12)")
+                        help=f"absolute tolerance > 0 (float mode only; default {DEFAULT_FLOAT_TOL!r})")
     common.add_argument("--svg", metavar="PATH", help="also write a Lorenz-curve plot")
     common.add_argument("--sort", action="store_true",
                         help="sort input entries non-increasing instead of rejecting")

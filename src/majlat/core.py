@@ -33,6 +33,7 @@ from .numeric import (
     cumulative_sums,
     eq,
     geq,
+    parse_scalar,
     parse_values,
     resolve_mode,
     scalar_str,
@@ -137,13 +138,14 @@ class LorenzCurve(_Frozen):
         return len(self.values) - 1
 
     def value_at(self, omega) -> Scalar:
-        """Linear interpolation at any abscissa in [0, d]."""
-        if omega < 0 or omega > self.d:
-            raise ValueError(f"abscissa {omega!r} outside [0, {self.d}]")
-        k = int(omega)
+        """Linear interpolation at any abscissa in [0, d], parsed in the curve's mode."""
+        x = parse_scalar(omega, self.tol == 0)
+        if x < 0 or x > self.d:
+            raise ValueError(f"abscissa {shown(omega)} outside [0, {self.d}]")
+        k = int(x)
         if k == self.d:
             return self.values[k]
-        return self.values[k] + (self.values[k + 1] - self.values[k]) * (omega - k)
+        return self.values[k] + (self.values[k + 1] - self.values[k]) * (x - k)
 
 
 def _check_entries(entries: Sequence[Scalar], tol: float) -> None:

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive chords for the concave
 majorant, full grid enumeration for optimality, plain sums for distances,
 Fraction's own string grammar for parsing, Fraction arithmetic for the
-canonical text of a value, the entry checks, the lattice kernels and the
-squared moduli, and a ball test with its own copy of the entry checks.
+canonical text of a value, the entry checks, the lattice kernels (with
+their own copy of the upper envelope) and the squared moduli, and a ball
+test with its own copy of the entry checks.
 """
 
 import math
@@ -23,7 +24,7 @@ from majlat.errors import (
     NotSortedError,
     ParseError,
 )
-from majlat.lattice import ExtremalFamily, _members, _upper_envelope
+from majlat.lattice import ExtremalFamily, _members
 from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, leq, lt, parse_values, shown
 from majlat.resource_theory import _amplitude_components
 
@@ -137,7 +138,38 @@ def reference_family_inf(family):
 
 def reference_family_sup(family):
     sums, tol = reference_fold(family, max)
-    return reference_from_sums(_upper_envelope(sums, tol), tol)
+    return reference_from_sums(reference_upper_envelope(sums, tol), tol)
+
+
+def reference_upper_envelope(vals, tol):
+    """lattice._upper_envelope, copied so that the library's copy can change or go.
+
+    Least concave majorant of the polygon through (k, S_k), k = 0..d.
+    Scans left to right: from index i, jump to the last index attaining
+    the maximum slope among all remaining points (float mode merges slope
+    ties within tolerance toward the later index). The interpolation
+    through the kept indices is the envelope.
+    """
+    d = len(vals) - 1
+    kept = [0]
+    i = 0
+    while i < d:
+        best = None
+        best_j = None
+        for j in range(i + 1, d + 1):
+            slope = (vals[j] - vals[i]) / (j - i)
+            if best is None or slope > best:
+                best, best_j = slope, j
+            elif geq(slope, best, tol):
+                best_j = j  # tie within tolerance: later index wins
+        kept.append(best_j)
+        i = best_j
+    env = [vals[0]]
+    for left, right in zip(kept, kept[1:]):
+        step = (vals[right] - vals[left]) / (right - left)
+        for k in range(left + 1, right + 1):
+            env.append(vals[right] if k == right else vals[left] + step * (k - left))
+    return tuple(env)
 
 
 def reference_flatten(values, tol):

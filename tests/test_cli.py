@@ -455,9 +455,38 @@ class TestSvg:
         assert "a&lt;b&amp;c" in text
 
 
+# Prints, as JSON, the heavy modules that `import majlat.cli` loads and the modules it
+# adds that are neither built in, nor in the standard library (whose path holds
+# site-packages, so that is excluded), nor majlat's own.
+# It runs in a child, and takes the module set there, since .pth files import at start-up.
+IMPORT_PROBE = """
+import json, os, sys, sysconfig
+before = set(sys.modules)
+import majlat.cli
+
+def under(path, *keys):
+    return os.path.realpath(path).startswith(tuple(os.path.realpath(sysconfig.get_path(k)) + os.sep for k in keys))
+
+def third_party(name):
+    spec = getattr(sys.modules[name], "__spec__", None)
+    origin = getattr(spec, "origin", None) or ""
+    return not (
+        name in sys.builtin_module_names
+        or origin in ("built-in", "frozen")
+        or (under(origin, "stdlib", "platstdlib") and not under(origin, "purelib", "platlib"))
+        or name.partition(".")[0] == "majlat"
+    )
+
+added = set(sys.modules) - before
+print(json.dumps([[m for m in HEAVY if m in sys.modules], sorted(filter(third_party, added)), len(added)]))
+"""
+
+
 def test_import_loads_no_xml_or_network_modules():
     heavy = ("xml.sax", "http.client", "email", "dataclasses", "inspect", "ast", "dis", "tokenize")
-    code = f"import sys, majlat.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    code = IMPORT_PROBE.replace("HEAVY", repr(heavy))
     env = dict(os.environ, PYTHONPATH=str(Path(majlat.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", check=True)
-    assert proc.stdout.strip() == "[]"
+    loaded_heavy, third_party, added = json.loads(proc.stdout)
+    assert loaded_heavy == []
+    assert added > 0 and third_party == []  # dependency-free: built-ins, stdlib and majlat only

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 from hypothesis import given
 
+import majlat.errors
 from majlat import (
     BadEndpointsError,
     DimensionMismatchError,
@@ -161,6 +163,16 @@ class TestLorenzCurve:
         assert curve.value_at(4) == 1
         with pytest.raises(ValueError):
             curve.value_at(5)
+        # the abscissa is parsed in the curve's mode, as every public scalar is
+        assert curve.value_at("3/2") == Fraction(17, 25)
+        assert type(curve.value_at("1.5")) is Fraction
+        with pytest.raises(ModeMismatchError):
+            curve.value_at(1.5)
+        with pytest.raises(ParseError):
+            curve.value_at(True)
+        with pytest.raises(ValueError):
+            curve.value_at("-1/2")
+        assert partial_sums(make_vector(FIG_X, tol=1e-12)).value_at("3/2") == pytest.approx(0.68)
 
 
 class TestCompare:
@@ -304,3 +316,11 @@ def test_positive_tolerance_converts_fractions_to_floats(build):
 def test_entry_kind_rejected(build, kind, tol, error):
     with pytest.raises(error):
         build(kind, tol)
+
+
+def test_package_exports_every_error_class_and_no_module():
+    errors = {name: cls for name, cls in vars(majlat.errors).items()
+              if isinstance(cls, type) and issubclass(cls, majlat.MajlatError)}
+    assert all(getattr(majlat, name) is cls for name, cls in errors.items())
+    assert set(errors) <= set(majlat.__all__) and majlat.__all__ == sorted(majlat.__all__)
+    assert not any(isinstance(getattr(majlat, name), ModuleType) for name in majlat.__all__)

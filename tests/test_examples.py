@@ -1,5 +1,6 @@
-"""The worked examples regenerate the committed artifacts byte for byte."""
+"""The worked examples regenerate the committed artifacts byte for byte, and the README examples run."""
 
+import doctest
 import importlib.util
 import os
 import subprocess
@@ -35,3 +36,9 @@ def test_script_imports_majlat_from_the_checkout_without_pythonpath(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert Path(proc.stdout.strip()).is_relative_to(ROOT / "src")
+
+
+def test_readme_examples_run():
+    results = doctest.testfile(str(ROOT / "README.md"), module_relative=False, encoding="utf-8")
+    assert results.attempted > 0
+    assert results.failed == 0
