@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Mutant check: every mutant of the library must fail the tests named for it.
+
+    python3 scripts/mutants.py
+
+A mutant is one or more exact text replacements in a file of src/majlat,
+each of which must occur exactly once there. For each mutant, src/, tests/
+and pyproject.toml are copied to a fresh temporary directory, the mutant is
+applied to the copy, and the named tests run there under pytest (with
+hypothesis, both required). A mutant whose tests all pass survived: the
+tests cannot tell it from the library. The unchanged copy must first pass
+every named test. Exit status: 0 when every mutant is killed, 1 when one
+survives or the unchanged copy fails, 2 when a mutant no longer applies.
+
+Equivalent mutants compute the same results as the library, so no test can
+kill them; they are listed with the reason and not run. Each change that
+rewrites a kernel adds mutants for the code it replaces.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHECKS = "tests/test_parse.py::test_check_entries_matches_fraction_checks"
+ROWS = "tests/test_parse.py::test_rows_match_per_entry_route"
+KERNELS = "tests/test_kernels.py"
+SPECIAL = "tests/test_parse.py::test_special_strings_match_fraction_route"
+
+# (name, file under src/majlat, [(old text, new text), ...], tests to run)
+MUTANTS = [
+    # The entry check (core._check_numerators), shared by both modes and ball listing.
+    ("rise at >=", "core.py", [("n - previous > tol", "n - previous >= tol")], [CHECKS]),
+    ("sum slack tol, not tol * d", "core.py",
+     [("abs(total - one) > tol * d", "abs(total - one) > tol")], [CHECKS]),
+    ("-0.0 counted negative", "core.py", [("if n < -tol:", "if n < -tol or str(n)[0] == '-':")], [CHECKS]),
+    ("rise reported before negatives", "core.py",
+     [("rise.append((previous, n))", 'raise NotSortedError(f"entries increase: '
+       '{_shown_entry(previous, one, tol)} < {_shown_entry(n, one, tol)}")')],
+     [CHECKS]),
+    ("last rise, not first", "core.py",
+     [("if i and not rise and n - previous", "if i and n - previous"), ("a, b = rise[0]", "a, b = rise[-1]")],
+     [CHECKS]),
+    ("float start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), 0.0)")], [CHECKS]),
+    ("-0.0 start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), -0.0)")], [CHECKS]),
+    ("_feasible without the entry check", "polytope.py", [("        _check_entries(x, tol)\n", "        pass\n")],
+     ["tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"]),
+    # The exact kernels on integer numerators over one common denominator.
+    ("unscale as v / one", "numeric.py",
+     [("tuple(Fraction(v, one) for v in values)", "tuple(v / one for v in values)")], [KERNELS]),
+    ("PAV means as total / (count * one)", "lattice.py",
+     [("Fraction(total, count * one) if tol == 0", "total / (count * one) if tol == 0")], [KERNELS]),
+    ("one from the first row only", "numeric.py",
+     [("one = math.lcm(*[math.lcm(*[e.denominator for e in row]) for row in rows])",
+       "one = math.lcm(*[e.denominator for e in rows[0]])")], [KERNELS]),
+    ("ascending sort of squares", "resource_theory.py",
+     [("for part in parts), reverse=True)", "for part in parts), reverse=False)")], [KERNELS]),
+    ("compare drops one more prefix sum", "core.py",
+     [("accumulate(ry)))[:-1]", "accumulate(ry)))[:-2]")], [KERNELS]),
+    ("float PAV with tol 0", "lattice.py",
+     [("lt(below / size, total / count, tol)", "lt(below / size, total / count, 0)")], [KERNELS]),
+    # The plain float reader and the canonical text of a value.
+    ("padded scale", "numeric.py", [("scale = max(twos, fives)", "scale = max(twos, fives) + 1")],
+     ["tests/test_parse.py::test_scalar_str_matches_fraction_route"]),
+    ("no exponent bound on plain floats", "numeric.py",
+     [("if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or digits and int(digits) > MAX_DECIMAL_EXPONENT:\n"
+       "        return None\n    x = float(text)", "x = float(text)")], [SPECIAL]),
+    ("no negative-zero fallback", "numeric.py",
+     [('return None if x == 0 and text[0] == "-" or math.isinf(x) else x', "return None if math.isinf(x) else x")],
+     [SPECIAL]),
+    # The plain exact row reader (numeric.plain_row) and its users.
+    ("no newline-count guard", "numeric.py", [('text.count("\\n") != len(values) or ', "")], [ROWS]),
+    ("max(q) in place of the lcm", "numeric.py",
+     [("one = math.lcm(*[q for _, q in pairs])", "one = max(q for _, q in pairs)")], [ROWS]),
+    ("no digit-limit decline", "numeric.py",
+     [("if limit and len(text) > limit and max(map(len, values)) > limit:", "if False:")], [ROWS]),
+    ("zero denominators read", "numeric.py", [("/0*[1-9][0-9]*)?", "/[0-9]+)?")], [ROWS]),
+    ("pairs not read back after sort", "core.py",
+     [("        if exact:\n            pairs = [(e.numerator, e.denominator) for e in entries]\n", "")], [ROWS]),
+]
+
+EQUIVALENT = [
+    ("PAV pools ties (<=)", "lattice.py", "below * count < total * size -> <=",
+     "pooling two blocks of equal means leaves every mean unchanged"),
+]
+
+
+def _copy(tmp: Path) -> None:
+    shutil.copytree(ROOT / "src", tmp / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", tmp / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tmp)
+
+
+def _apply(tmp: Path, name: str, file: str, edits) -> None:
+    path = tmp / "src" / "majlat" / file
+    text = path.read_text(encoding="utf-8")
+    for old, new in edits:
+        if text.count(old) != 1:
+            sys.exit(f"mutant {name!r} no longer applies: {old!r} occurs {text.count(old)} times in {file}")
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
+
+
+def _passes(tmp: Path, tests) -> bool:
+    """The tests pass on the copy in tmp; the first failure stops the run."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+               *tests]
+    proc = subprocess.run(command, cwd=tmp, env=dict(os.environ, PYTHONPATH=str(tmp / "src")),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode == 0
+
+
+def main() -> int:
+    start = time.perf_counter()
+    everything = sorted({t for *_, tests in MUTANTS for t in tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(Path(tmp))
+        if not _passes(Path(tmp), everything):
+            print(f"the unchanged library fails {' '.join(everything)}")
+            return 1
+    survivors = []
+    for name, file, edits, tests in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy(Path(tmp))
+            _apply(Path(tmp), name, file, edits)
+            survived = _passes(Path(tmp), tests)
+        print(f"{'SURVIVED' if survived else 'killed  '}  {file:<19} {name}")
+        if survived:
+            survivors.append(name)
+    for name, file, change, reason in EQUIVALENT:
+        print(f"{'equal':<8}  {file:<19} {name} ({change}): {reason}")
+    seconds = time.perf_counter() - start
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed in {seconds:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,12 @@ A computation is either exact (Fraction values, tolerance 0) or float
 value. The rule that picks the mode (resolve_mode) and all tolerant
 comparisons live here, so every entry point parses alike and the tie
 policy is uniform: a difference within tau counts as zero.
+
+Exact text enters through one reader, plain_row: a row of plain decimal
+and ratio strings becomes integer pairs (n, q) in one regular-expression
+match, and every other row is parsed entry by entry through Fraction.
+Exact entries are compared and checked as integer numerators over one
+common denominator (common_scale, scale_pairs).
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, starmap
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ModeMismatchError, ParseError
 
@@ -27,38 +33,64 @@ DEFAULT_FLOAT_TOL = 1e-12
 MAX_DECIMAL_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
-# Plain ASCII forms, read without Fraction's string grammar: a decimal or a ratio with
-# a nonzero denominator in exact mode, a decimal with an optional exponent (group 1
-# holds its digits) in float mode. Every other string (whitespace, underscores,
-# non-ASCII digits, words, "5/0") takes the Fraction route, so each Python keeps its
-# own Fraction grammar and errors for them.
-_PLAIN_EXACT = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)(?:\.([0-9]*)|/(0*[1-9][0-9]*))?")
+# A plain exact row: ASCII decimals and ratios with a nonzero denominator, each
+# followed by a newline. A row holding any other string (whitespace, underscores,
+# non-ASCII digits, exponents, words, "5/0") takes the per-entry route through
+# Fraction, so each Python keeps its own Fraction grammar and errors for them.
+_PLAIN_ROW = re.compile(r"(?:[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|/0*[1-9][0-9]*)?\n)*")
+# A plain float string: a decimal with an optional exponent, whose digits are group 1.
 _PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?([0-9]+))?")
 
 
-def _plain_scalar(text: str, exact: bool) -> Scalar | None:
-    """text read directly when it is a plain ASCII string, else None.
+def plain_row(values: Sequence[object]) -> list[tuple[int, int]] | None:
+    """Each value as an integer pair (n, q) with value n/q, or None when the row is not plain.
+
+    One fullmatch of _PLAIN_ROW checks the whole row, joined with a newline
+    after each value. The row is declined (None) when a value is not
+    exactly a str, is longer than the int-to-text digit limit (where
+    Fraction(value) raises but int() of the joined digits might not), or
+    holds a newline, so the joined text has more than len(values) of them.
+    A decimal gives (int(whole + frac), 10**len(frac)), a ratio
+    (int(p), int(q)); the pairs are not reduced.
+    """
+    try:
+        text = "\n".join(values) + "\n"
+    except TypeError:  # a value that is no str
+        return None
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit and max(map(len, values)) > limit:
+        return None
+    if text.count("\n") != len(values) or _PLAIN_ROW.fullmatch(text) is None:
+        return None
+    pairs = []
+    for v in values:
+        if type(v) is not str:
+            return None
+        p, slash, q = v.partition("/")
+        if slash:
+            pairs.append((int(p), int(q)))
+        else:
+            whole, _, frac = v.partition(".")
+            pairs.append((int(whole + frac), 10 ** len(frac)))
+    return pairs
+
+
+def _plain_float(text: str) -> float | None:
+    """text read by float() when it is a plain ASCII decimal, else None.
 
     None past the int-to-text digit limit, where Fraction(text) raises but
-    int() of the joined digits or float(text) might not. None in float mode
-    also for an exponent above MAX_DECIMAL_EXPONENT, a negative zero and an
-    overflow, which the Fraction route reports or rounds its own way: it
-    gives 0.0 for a zero value ("-0") but -0.0 for a negative value that
-    underflows, and raises OverflowError where float() gives inf.
+    float(text) does not, for an exponent above MAX_DECIMAL_EXPONENT, a
+    negative zero and an overflow, which the Fraction route reports or
+    rounds its own way: it gives 0.0 for a zero value ("-0") but -0.0 for a
+    negative value that underflows, and raises OverflowError where float()
+    gives inf.
     """
     limit = sys.get_int_max_str_digits()
     if limit and len(text) > limit:
         return None
-    found = (_PLAIN_EXACT if exact else _PLAIN_FLOAT).fullmatch(text)
+    found = _PLAIN_FLOAT.fullmatch(text)
     if found is None:
         return None
-    if exact:
-        whole, frac, den = found.groups()
-        if den is not None:
-            return Fraction(int(whole), int(den))
-        if frac:
-            return Fraction(int(whole + frac), 10 ** len(frac))
-        return Fraction(int(whole))
     digits = (found.group(1) or "").lstrip("0")
     if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or digits and int(digits) > MAX_DECIMAL_EXPONENT:
         return None
@@ -76,15 +108,20 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
     decimal exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude.
 
     Plain ASCII strings within the int-to-text digit limit are tried
-    first and read directly: decimals ("-0.25", ".5", "1.") and ratios
-    ("13/50") in exact mode as Fraction(int, 10**k) and Fraction(int, int),
-    decimals with or without an exponent in float mode by float(), which
-    rounds correctly to the same value as float(Fraction(s)). Every other
-    value, and every string they decline, goes through Fraction, so both
-    routes accept the same strings and give equal values.
+    first and read directly: in exact mode by plain_row as a row of one,
+    decimals ("-0.25", ".5", "1.") and ratios ("13/50") becoming
+    Fraction(n, q); in float mode decimals with or without an exponent by
+    float(), which rounds correctly to the same value as
+    float(Fraction(s)). Every other value, and every string they decline,
+    goes through Fraction, so both routes accept the same strings and give
+    equal values.
     """
-    if isinstance(value, str) and (x := _plain_scalar(value, exact)) is not None:
-        return x
+    if isinstance(value, str):
+        if exact:
+            if (pairs := plain_row((value,))) is not None:
+                return Fraction(*pairs[0])
+        elif (x := _plain_float(value)) is not None:
+            return x
     if isinstance(value, bool):
         raise ParseError(f"not a scalar: {value!r}")
     if isinstance(value, str) and (found := _EXPONENT.search(value)):
@@ -130,8 +167,14 @@ def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, flo
 
 
 def parse_values(values: Sequence[object], tol: float | None) -> tuple[tuple[Scalar, ...], float]:
-    """Every value parsed in the mode resolve_mode picks, and that mode's tolerance."""
+    """Every value parsed in the mode resolve_mode picks, and that mode's tolerance.
+
+    A plain exact row is read whole by plain_row; any other row is parsed
+    entry by entry by parse_scalar.
+    """
     exact, t = resolve_mode(values, tol)
+    if exact and (pairs := plain_row(values)) is not None:
+        return tuple(starmap(Fraction, pairs)), t
     return tuple(parse_scalar(v, exact) for v in values), t
 
 
@@ -160,12 +203,22 @@ def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, 
     yields each entry n/q lazily, one at a time, as the integer
     n * (one // q): integers that add, compare and sort as the Fractions
     do, at a fraction of the cost. Float mode returns the rows themselves,
-    with one = 1.0. This is the one place exact entries are scaled.
+    with one = 1.0. scale_pairs is the same rule on one row of integer pairs.
     """
     if tol:
         return 1.0, rows
     one = math.lcm(*[math.lcm(*[e.denominator for e in row]) for row in rows])
     return one, [(e.numerator * (one // e.denominator) for e in row) for row in rows]
+
+
+def scale_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[int, Iterator[int]]:
+    """(one, numerators) of exact entries given as pairs (n, q): common_scale on one row.
+
+    one is the lcm of every q, and each numerator n * (one // q) is yielded
+    lazily, so a consumer that takes them one at a time holds one of them.
+    """
+    one = math.lcm(*[q for _, q in pairs])
+    return one, (n * (one // q) for n, q in pairs)
 
 
 def unscale(values: Iterable[Scalar], one: Scalar, tol: float) -> tuple[Scalar, ...]:

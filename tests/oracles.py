@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: exhaustive chords for the concave
 majorant, full grid enumeration for optimality, plain sums for distances,
-Fraction's own string grammar for parsing, Fraction arithmetic for the
-canonical text of a value, the entry checks, the lattice kernels (with
-their own copy of the upper envelope) and the squared moduli, and a ball
-test with its own copy of the entry checks.
+Fraction's own string grammar for parsing entries one at a time and
+building vectors from them, Fraction arithmetic for the canonical text of
+a value, the entry checks, the lattice kernels (with their own copy of the
+upper envelope) and the squared moduli, and a ball test with its own copy
+of the entry checks.
 """
 
 import math
@@ -16,6 +17,7 @@ from itertools import islice
 from majlat import OrderedProbVector, ResourceTheory, make_vector
 from majlat.core import MajOrdering, _trusted, pair_tolerance
 from majlat.errors import (
+    EmptyInputError,
     InvalidStateSpecError,
     ModeMismatchError,
     NegativeEntryError,
@@ -25,7 +27,7 @@ from majlat.errors import (
     ParseError,
 )
 from majlat.lattice import ExtremalFamily, _members
-from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, leq, lt, parse_values, shown
+from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, leq, lt, resolve_mode, shown
 from majlat.resource_theory import _amplitude_components
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
@@ -56,6 +58,31 @@ def reference_parse_scalar(value, exact):
     if not math.isfinite(x):
         raise ParseError(f"not a finite float: {value!r}")
     return x
+
+
+def reference_parse_values(values, tol):
+    """numeric.parse_values as it was before plain rows were read whole:
+    resolve_mode's rule, then reference_parse_scalar on each value."""
+    exact, t = resolve_mode(values, tol)
+    return tuple(reference_parse_scalar(v, exact) for v in values), t
+
+
+def reference_make_vector(raw, *, normalize=False, sort=False, tol=None):
+    """core.make_vector as it was before it checked plain rows as integer pairs:
+    entries parsed one at a time, then the Fraction checks."""
+    values = tuple(raw)
+    if not values:
+        raise EmptyInputError("no entries given")
+    entries, tol = reference_parse_values(values, tol)
+    if normalize:
+        total = sum(entries)
+        if not total > 0:
+            raise NotNormalizedError(f"cannot normalize entries that sum to {shown(total)}")
+        entries = tuple(e / total for e in entries)
+    if sort:
+        entries = tuple(sorted(entries, reverse=True))
+    reference_check_entries(entries, tol)
+    return _trusted(OrderedProbVector, entries=entries, tol=tol)
 
 
 def reference_scalar_str(value):
@@ -212,7 +239,7 @@ def reference_state_to_vector(spec, theory, tol=None):
         if theory is ResourceTheory.PURITY:
             raise InvalidStateSpecError("purity takes a spectrum, not amplitudes")
         parts = _amplitude_components(spec.amplitudes)
-        values, tol = parse_values([c for part in parts for c in part], tol)
+        values, tol = reference_parse_values([c for part in parts for c in part], tol)
         components = iter(values)
         probs = [sum(c * c for c in islice(components, len(part))) for part in parts]
     else:
@@ -224,7 +251,7 @@ def reference_state_to_vector(spec, theory, tol=None):
             if theory is not ResourceTheory.PURITY:
                 raise InvalidStateSpecError("a spectrum belongs to purity")
             raw = spec.spectrum
-        probs, tol = parse_values(raw, tol)
+        probs, tol = reference_parse_values(raw, tol)
     probs = tuple(sorted(probs, reverse=True))
     try:
         reference_check_entries(probs, tol)

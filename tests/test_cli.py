@@ -315,17 +315,19 @@ class TestExitCodes:
         assert len(err) <= MESSAGE_LIMIT + 1
 
 
-    @pytest.mark.parametrize("name, text", [
-        ("big.csv", "1e400,0\n0.5,0.5\n"),
-        ("big.json", '{"vectors": [[1e400, 0], [0.5, 0.5]]}'),
-        ("nan.json", '{"vectors": [[NaN, 0], [0.5, 0.5]]}'),
-    ], ids=["csv-overflow", "json-overflow", "json-nan"])
-    def test_non_finite_float_entry_is_two(self, tmp_path, name, text, capsys):
+    @pytest.mark.parametrize("name, text, mode, message", [
+        ("big.csv", "1e400,0\n0.5,0.5\n", "float", "not a"),
+        ("big.json", '{"vectors": [[1e400, 0], [0.5, 0.5]]}', "float", "not a"),
+        ("nan.json", '{"vectors": [[NaN, 0], [0.5, 0.5]]}', "float", "not a"),
+        # a quoted cell across a newline is one entry that is no scalar, not two entries
+        ("newline.csv", '"0.\n5",0.5\n0.5,0.5\n', "exact", "not an exact scalar: '0.\\n5'"),
+    ], ids=["csv-overflow", "json-overflow", "json-nan", "csv-cell-with-newline"])
+    def test_non_finite_float_entry_is_two(self, tmp_path, name, text, mode, message, capsys):
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
-        assert run_cli("meet", "--mode", "float", "-i", str(path)) == 2
+        assert run_cli("meet", "--mode", mode, "-i", str(path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("majlat: not a") and err.count("\n") == 1
+        assert err.startswith(f"majlat: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, text", [
         (["meet"], f"1/1{'0' * 4200}7,1/1{'0' * 4200}9\n"),  # the sum has an 8400-digit denominator

@@ -1,13 +1,16 @@
 """Parsing, entry checks and canonical text against the Fraction-only references in oracles.py.
 
 parse_scalar reads plain ASCII decimals and ratios directly and sends every
-other string through Fraction. _check_entries checks both modes in one pass,
-exact entries on integer numerators scaled one at a time, so its memory holds
-one numerator and the total. Both must behave exactly as the references do:
-equal values of the same type (the same repr in float mode, signed zero
-included) and the same exception class and message. scalar_str works on the
-numerator and denominator as integers and must give the reference's text, or
-its ValueError past the int-to-text digit limit.
+other string through Fraction; parse_values and make_vector read a plain
+exact row whole, as integer pairs, and any other row one entry at a time.
+_check_entries checks both modes in one pass, exact entries on integer
+numerators scaled one at a time, so its memory holds one numerator and the
+total; make_vector checks a plain row's pairs the same way. All must behave
+exactly as the references do: equal values of the same type (the same repr
+in float mode, signed zero included) and the same exception class and
+message. scalar_str works on the numerator and denominator as integers and
+must give the reference's text, or its ValueError past the int-to-text digit
+limit.
 """
 
 import json
@@ -24,9 +27,15 @@ from majlat import make_vector
 from majlat.cli import main
 from majlat.core import _check_entries
 from majlat.errors import MajlatError, NotNormalizedError
-from majlat.numeric import parse_scalar, scalar_str
+from majlat.numeric import parse_scalar, parse_values, scalar_str
 
-from .oracles import reference_check_entries, reference_parse_scalar, reference_scalar_str
+from .oracles import (
+    reference_check_entries,
+    reference_make_vector,
+    reference_parse_scalar,
+    reference_parse_values,
+    reference_scalar_str,
+)
 
 _sign = st.sampled_from(["", "-", "+"])
 _digits = st.text("0123456789", max_size=12)
@@ -37,11 +46,11 @@ _exponent = st.builds(
 
 
 @st.composite
-def _decimals(draw):
-    text = draw(_sign) + draw(_digits)
+def _decimals(draw, sign=_sign, digits=_digits, exponent=True):
+    text = draw(sign) + draw(digits)
     if draw(st.booleans()):
-        text += "." + draw(_digits)
-    if draw(st.booleans()):
+        text += "." + draw(digits)
+    if exponent and draw(st.booleans()):
         text += draw(_exponent)
     return text
 
@@ -78,10 +87,10 @@ _scalars = (
 )
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     """fn's result, or the class and message of the MajlatError it raises."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except MajlatError as exc:
         return type(exc), str(exc)
 
@@ -103,6 +112,46 @@ def test_special_strings_match_fraction_route():
     for value in _SPECIAL:
         for exact in (True, False):
             _assert_same_parse(value, exact)
+
+
+_LONG = "1" * 4301  # one digit past the int-to-text digit limit
+
+
+@st.composite
+def _rows(draw):
+    """1-70 entries: plain decimals and ratios only, or mixed with entries that decline the row."""
+    sign = st.just("") if draw(st.booleans()) else _sign
+    digits = st.text("0123456789", min_size=1, max_size=12)
+    ratios = st.builds(lambda s, p, q: f"{s}{p}/{q}", sign, digits, digits)
+    entry = _decimals(sign, digits, exponent=False) | ratios
+    if draw(st.booleans()):
+        entry |= _decimals() | _ratios | _altered() | st.sampled_from([*_SPECIAL, _LONG, "0.\n5", "1\n"])
+    return draw(st.lists(entry, min_size=1, max_size=70))
+
+
+@given(_rows(), st.sampled_from([None, 0]), st.booleans(), st.booleans())
+@example(["1/3", "0.5", "1/6"], None, False, False)  # a rise, found over the lcm 30 of 3, 10 and 6
+@example(["1/3", "0.5", "1/6"], None, True, False)
+@example(["1/3", "0.5", "1/6"], 0, False, True)
+@example(["0.5", "5/0"], None, False, False)
+@example(["0.5\n0.5"], None, False, False)  # one entry holding a newline, not two entries
+@example(["1", "-0"], None, False, False)
+@example(["+.5", "0.5"], 0, False, False)
+@example(["2/4", "1/2"], None, False, False)
+# Fraction reads the first entry; int() of its 6000 digits cannot
+@example(["1" * 3000 + "." + "1" * 3000, "1"], None, False, True)
+def test_rows_match_per_entry_route(row, tol, sort, normalize):
+    """make_vector and parse_values on a whole row: the same vector or entries, all
+    Fractions, or the same error as parsing and checking one entry at a time."""
+    got = _outcome(make_vector, row, tol=tol, sort=sort, normalize=normalize)
+    want = _outcome(reference_make_vector, row, tol=tol, sort=sort, normalize=normalize)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert all(type(e) is Fraction for e in got.entries)
+    got = _outcome(parse_values, row, None)
+    assert got == _outcome(reference_parse_values, row, None)
+    if isinstance(got[0], tuple):
+        assert all(type(e) is Fraction for e in got[0])
 
 
 # The primes below 1020: every entry of a d = 64 vector over them has its own
@@ -156,16 +205,19 @@ def test_check_entries_matches_fraction_checks(entries):
 
 def test_exact_check_holds_one_numerator_at_a_time():
     """Numerators over the lcm of 500 hundred-digit denominators take about 20 KB
-    each; the check keeps one of them and the total, not all 500 (about 11 MB)."""
+    each; the check keeps one of them and the total, not all 500 (about 11 MB),
+    on Fractions and on a plain row's integer pairs alike."""
     entries = tuple(Fraction(1, 10**100 + i) for i in range(500))
-    tracemalloc.start()
-    try:
-        with pytest.raises(NotNormalizedError):
-            _check_entries(entries, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
+    row = [f"1/{10**100 + i}" for i in range(500)]
+    for check in (lambda: _check_entries(entries, 0), lambda: make_vector(row)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotNormalizedError):
+                check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("raw, shown", [
