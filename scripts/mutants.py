@@ -80,8 +80,12 @@ MUTANTS = [
     ("no digit-limit decline", "numeric.py",
      [("if limit and len(text) > limit and max(map(len, values)) > limit:", "if False:")], [ROWS]),
     ("zero denominators read", "numeric.py", [("/0*[1-9][0-9]*)?", "/[0-9]+)?")], [ROWS]),
-    ("pairs not read back after sort", "core.py",
-     [("        if exact:\n            pairs = [(e.numerator, e.denominator) for e in entries]\n", "")], [ROWS]),
+    ("make_vector's general route unchecked", "core.py", [("    _check_entries(entries, tol)\n", "")], [ROWS]),
+    # The one mode rule (numeric.resolve_mode).
+    ("bool tolerance read as a number", "numeric.py",
+     [("        if isinstance(tol, bool):  # float(True) would be a tolerance of 1.0\n"
+       '            raise ModeMismatchError(f"tolerance must be a number, not {tol!r}")\n', "")],
+     ["tests/test_core.py::test_tolerance_must_be_finite_and_non_negative"]),
 ]
 
 EQUIVALENT = [

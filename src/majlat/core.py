@@ -153,12 +153,12 @@ class LorenzCurve(_Frozen):
 def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
     """Sign, order and sum checks of parsed, non-empty vector entries, in one pass.
 
-    Ball vertex listing checks its candidates here. The entries are checked
-    over numeric.common_scale's one common denominator by
-    _check_numerators, the one place the vector rule is written, which
-    make_vector also calls on the integer pairs of a row: exact numerators
-    are scaled one at a time as they are checked, so memory holds one
-    numerator and the total.
+    make_vector checks here every row that does not take its plain exact
+    route, and ball vertex listing its candidates. The entries are checked over
+    numeric.common_scale's one common denominator by _check_numerators,
+    the one place the vector rule is written, which make_vector also calls
+    on the integer pairs of a plain row: exact numerators are scaled one at
+    a time as they are checked, so memory holds one numerator and the total.
     """
     one, (values,) = common_scale((entries,), tol)
     _check_numerators(values, one, tol, len(entries))
@@ -240,35 +240,30 @@ def make_vector(
     satisfy the corresponding invariant. Mode is inferred from the entry
     types unless tol forces it (0 exact, positive float).
 
-    Exact entries are checked as integer pairs (n, q) over the lcm of
-    every q (numeric.scale_pairs), then built as one Fraction each. A
-    plain row of decimal and ratio strings gives its pairs straight from
-    numeric.plain_row; any other exact row, and any row after normalize
-    or sort, gives them from its Fractions.
+    A plain exact row of decimal and ratio strings, without the flags, is
+    checked as the integer pairs (n, q) of numeric.plain_row over the lcm
+    of every q (numeric.scale_pairs), then built as one Fraction each.
+    Every other row is parsed by numeric.parse_values, normalized and
+    sorted as asked, then checked by _check_entries.
     """
     values = tuple(raw)
     if not values:
         raise EmptyInputError("no entries given")
     exact, tol = resolve_mode(values, tol)
-    pairs = plain_row(values) if exact else None
-    entries = None
-    if pairs is None or normalize or sort:
-        if pairs is None:
-            entries = tuple(parse_scalar(v, exact) for v in values)
-        else:
-            entries = tuple(starmap(Fraction, pairs))
-        if normalize:
-            total = sum(entries)
-            if not total > 0:
-                raise NotNormalizedError(f"cannot normalize entries that sum to {shown(total)}")
-            entries = tuple(e / total for e in entries)
-        if sort:
-            entries = tuple(sorted(entries, reverse=True))
-        if exact:
-            pairs = [(e.numerator, e.denominator) for e in entries]
-    one, numerators = scale_pairs(pairs) if exact else (1.0, entries)
-    _check_numerators(numerators, one, tol, len(values))
-    return _trusted(OrderedProbVector, entries=entries or tuple(starmap(Fraction, pairs)), tol=tol)
+    if exact and not (normalize or sort) and (pairs := plain_row(values)) is not None:
+        one, numerators = scale_pairs(pairs)
+        _check_numerators(numerators, one, tol, len(values))
+        return _trusted(OrderedProbVector, entries=tuple(starmap(Fraction, pairs)), tol=tol)
+    entries, _ = parse_values(values, tol)
+    if normalize:
+        total = sum(entries)
+        if not total > 0:
+            raise NotNormalizedError(f"cannot normalize entries that sum to {shown(total)}")
+        entries = tuple(e / total for e in entries)
+    if sort:
+        entries = tuple(sorted(entries, reverse=True))
+    _check_entries(entries, tol)
+    return _trusted(OrderedProbVector, entries=entries, tol=tol)
 
 
 def _check_dimension(d: object) -> int:

@@ -152,9 +152,12 @@ def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, flo
     This is the one mode rule. tol None: exact unless floats appear (then
     the default tolerance); floats may not mix with strings or Fractions.
     tol 0: exact, and floats are rejected. tol > 0: float mode with that
-    tolerance, and every value is converted to float.
+    tolerance, and every value is converted to float. A bool tol is
+    rejected, as parse_scalar rejects a bool value.
     """
     if tol is not None:
+        if isinstance(tol, bool):  # float(True) would be a tolerance of 1.0
+            raise ModeMismatchError(f"tolerance must be a number, not {tol!r}")
         t = float(tol)
         if not 0 <= t < math.inf:  # NaN fails every comparison
             raise ModeMismatchError(f"tolerance must be finite and non-negative, got {t!r}")

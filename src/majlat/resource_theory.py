@@ -30,7 +30,6 @@ from .numeric import (
     common_scale,
     leq,
     lt,
-    parse_scalar,
     parse_values,
     plain_row,
     resolve_mode,
@@ -102,10 +101,11 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
     Schmidt weights directly); purity takes a spectrum. The result is the
     squared moduli where applicable, sorted non-increasing. Exact moduli
     are squared, summed, sorted and checked as integer numerators over
-    one², and built as Fractions once they are in order. A plain row of
-    amplitude strings gives its numerators straight from the integer
-    pairs of numeric.plain_row, with no Fraction per component. Schmidt
-    weights and spectra are vector entries and enter through make_vector.
+    one², and built as Fractions once they are in order. A plain exact row
+    of amplitude strings gives its numerators straight from the integer
+    pairs of numeric.plain_row, with no Fraction per component; any other
+    row is parsed by numeric.parse_values. Schmidt weights and spectra are
+    vector entries and enter through make_vector.
     """
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
@@ -116,7 +116,7 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         if exact and (pairs := plain_row(values)) is not None:
             one, numerators = scale_pairs(pairs)
         else:
-            one, (numerators,) = common_scale((tuple(parse_scalar(v, exact) for v in values),), tol)
+            one, (numerators,) = common_scale((parse_values(values, tol)[0],), tol)
         components = iter(numerators)  # each squared modulus takes its own parts
         squares = sorted((sum(c * c for c in islice(components, len(part))) for part in parts), reverse=True)
         # Squares are never negative, so only the unit-sum test can fail here.

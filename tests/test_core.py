@@ -292,7 +292,7 @@ TOLERANT_BUILDERS = {
 each_builder = pytest.mark.parametrize("build", TOLERANT_BUILDERS.values(), ids=TOLERANT_BUILDERS.keys())
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, True, False])
 @each_builder
 def test_tolerance_must_be_finite_and_non_negative(build, tol):
     with pytest.raises(ModeMismatchError):

@@ -140,6 +140,8 @@ def _rows(draw):
 @example(["2/4", "1/2"], None, False, False)
 # Fraction reads the first entry; int() of its 6000 digits cannot
 @example(["1" * 3000 + "." + "1" * 3000, "1"], None, False, True)
+@example([Fraction(1, 4), Fraction(1, 2)], None, True, False)  # sorted, sums to 3/4
+@example(["1/2", Fraction(-1, 4), "0.5"], None, False, True)  # normalized, -1/3 negative
 def test_rows_match_per_entry_route(row, tol, sort, normalize):
     """make_vector and parse_values on a whole row: the same vector or entries, all
     Fractions, or the same error as parsing and checking one entry at a time."""
