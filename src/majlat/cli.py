@@ -183,8 +183,9 @@ def run(args: argparse.Namespace) -> int:
             curves.append((args.command, partial_sums(results[0])))
         else:
             curves.extend((f"{args.command} v{i + 1}", partial_sums(v)) for i, v in enumerate(results))
+        svg = emit_lorenz_svg(curves)  # rendered before the file is opened, so a failure leaves it as it was
         with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(emit_lorenz_svg(curves))
+            handle.write(svg)
         doc["svg"] = args.svg
 
     text = json.dumps(doc, indent=2) + "\n"

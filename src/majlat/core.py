@@ -9,6 +9,7 @@ function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, pairwise, starmap
@@ -38,7 +39,6 @@ from .numeric import (
     plain_row,
     resolve_mode,
     scalar_str,
-    scale_pairs,
     shown,
 )
 
@@ -241,23 +241,23 @@ def make_vector(
     types unless tol forces it (0 exact, positive float).
 
     A plain exact row of decimal and ratio strings, without the flags, is
-    checked as the integer pairs (n, q) of numeric.plain_row over the lcm
-    of every q (numeric.scale_pairs), then built as one Fraction each.
-    Every other row is parsed by numeric.parse_values, normalized and
-    sorted as asked, then checked by _check_entries.
+    read by numeric.plain_row, checked on its numerators over the lcm of
+    every denominator, then built as one Fraction per integer pair. Every
+    other row is parsed value by value by numeric.parse_values,
+    normalized and sorted as asked, then checked by _check_entries.
     """
     values = tuple(raw)
     if not values:
         raise EmptyInputError("no entries given")
     exact, tol = resolve_mode(values, tol)
-    if exact and not (normalize or sort) and (pairs := plain_row(values)) is not None:
-        one, numerators = scale_pairs(pairs)
+    if exact and not (normalize or sort) and (row := plain_row(values)) is not None:
+        one, numerators, pairs = row
         _check_numerators(numerators, one, tol, len(values))
         return _trusted(OrderedProbVector, entries=tuple(starmap(Fraction, pairs)), tol=tol)
     entries, _ = parse_values(values, tol)
     if normalize:
         total = sum(entries)
-        if not total > 0:
+        if not 0 < total < math.inf:  # a float sum that overflows would divide every entry to 0.0
             raise NotNormalizedError(f"cannot normalize entries that sum to {shown(total)}")
         entries = tuple(e / total for e in entries)
     if sort:

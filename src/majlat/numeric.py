@@ -6,11 +6,13 @@ value. The rule that picks the mode (resolve_mode) and all tolerant
 comparisons live here, so every entry point parses alike and the tie
 policy is uniform: a difference within tau counts as zero.
 
-Exact text enters through one reader, plain_row: a row of plain decimal
-and ratio strings becomes integer pairs (n, q) in one regular-expression
-match, and every other row is parsed entry by entry through Fraction.
-Exact entries are compared and checked as integer numerators over one
-common denominator (common_scale, scale_pairs).
+parse_scalar and parse_values read exact values through Fraction, one at
+a time. Whole rows have one faster reader, plain_row, which
+core.make_vector (without its flags) and resource_theory.state_to_vector
+(for amplitudes) try first: a row of plain decimal and ratio strings
+becomes integer pairs (n, q) in one regular-expression match. Exact
+entries are compared and checked as integer numerators over one common
+denominator (common_scale, or plain_row on its pairs).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate, starmap
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ModeMismatchError, ParseError
@@ -42,16 +44,19 @@ _PLAIN_ROW = re.compile(r"(?:[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|/0*[1-9][0-9]*)?
 _PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?([0-9]+))?")
 
 
-def plain_row(values: Sequence[object]) -> list[tuple[int, int]] | None:
-    """Each value as an integer pair (n, q) with value n/q, or None when the row is not plain.
+def plain_row(values: Sequence[object]) -> tuple[int, Iterator[int], list[tuple[int, int]]] | None:
+    """(one, numerators, pairs) of a plain exact row, or None when the row is not plain.
 
     One fullmatch of _PLAIN_ROW checks the whole row, joined with a newline
     after each value. The row is declined (None) when a value is not
     exactly a str, is longer than the int-to-text digit limit (where
     Fraction(value) raises but int() of the joined digits might not), or
     holds a newline, so the joined text has more than len(values) of them.
-    A decimal gives (int(whole + frac), 10**len(frac)), a ratio
-    (int(p), int(q)); the pairs are not reduced.
+    A decimal gives the pair (int(whole + frac), 10**len(frac)), a ratio
+    (int(p), int(q)); the pairs, with value n/q, are not reduced. one is
+    the lcm of every q, and each numerator n * (one // q) is yielded
+    lazily, as common_scale does, so a consumer that takes them one at a
+    time holds one of them.
     """
     try:
         text = "\n".join(values) + "\n"
@@ -72,7 +77,8 @@ def plain_row(values: Sequence[object]) -> list[tuple[int, int]] | None:
         else:
             whole, _, frac = v.partition(".")
             pairs.append((int(whole + frac), 10 ** len(frac)))
-    return pairs
+    one = math.lcm(*[q for _, q in pairs])
+    return one, (n * (one // q) for n, q in pairs), pairs
 
 
 def _plain_float(text: str) -> float | None:
@@ -107,21 +113,15 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
     Float mode accepts finite values only. In both modes a string's
     decimal exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude.
 
-    Plain ASCII strings within the int-to-text digit limit are tried
-    first and read directly: in exact mode by plain_row as a row of one,
-    decimals ("-0.25", ".5", "1.") and ratios ("13/50") becoming
-    Fraction(n, q); in float mode decimals with or without an exponent by
-    float(), which rounds correctly to the same value as
-    float(Fraction(s)). Every other value, and every string they decline,
-    goes through Fraction, so both routes accept the same strings and give
-    equal values.
+    In float mode, a plain ASCII decimal within the int-to-text digit
+    limit, with or without an exponent, is tried first and read by
+    float(), which rounds correctly to the same value as float(Fraction(s)).
+    Every other value, every string _plain_float declines and every exact
+    value goes through Fraction, so both routes accept the same strings
+    and give equal values.
     """
-    if isinstance(value, str):
-        if exact:
-            if (pairs := plain_row((value,))) is not None:
-                return Fraction(*pairs[0])
-        elif (x := _plain_float(value)) is not None:
-            return x
+    if not exact and isinstance(value, str) and (x := _plain_float(value)) is not None:
+        return x
     if isinstance(value, bool):
         raise ParseError(f"not a scalar: {value!r}")
     if isinstance(value, str) and (found := _EXPONENT.search(value)):
@@ -170,14 +170,8 @@ def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, flo
 
 
 def parse_values(values: Sequence[object], tol: float | None) -> tuple[tuple[Scalar, ...], float]:
-    """Every value parsed in the mode resolve_mode picks, and that mode's tolerance.
-
-    A plain exact row is read whole by plain_row; any other row is parsed
-    entry by entry by parse_scalar.
-    """
+    """Every value parsed by parse_scalar in the mode resolve_mode picks, and that mode's tolerance."""
     exact, t = resolve_mode(values, tol)
-    if exact and (pairs := plain_row(values)) is not None:
-        return tuple(starmap(Fraction, pairs)), t
     return tuple(parse_scalar(v, exact) for v in values), t
 
 
@@ -206,22 +200,13 @@ def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, 
     yields each entry n/q lazily, one at a time, as the integer
     n * (one // q): integers that add, compare and sort as the Fractions
     do, at a fraction of the cost. Float mode returns the rows themselves,
-    with one = 1.0. scale_pairs is the same rule on one row of integer pairs.
+    with one = 1.0. plain_row gives the same numerators from a plain row's
+    integer pairs.
     """
     if tol:
         return 1.0, rows
     one = math.lcm(*[math.lcm(*[e.denominator for e in row]) for row in rows])
     return one, [(e.numerator * (one // e.denominator) for e in row) for row in rows]
-
-
-def scale_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[int, Iterator[int]]:
-    """(one, numerators) of exact entries given as pairs (n, q): common_scale on one row.
-
-    one is the lcm of every q, and each numerator n * (one // q) is yielded
-    lazily, so a consumer that takes them one at a time holds one of them.
-    """
-    one = math.lcm(*[q for _, q in pairs])
-    return one, (n * (one // q) for n, q in pairs)
 
 
 def unscale(values: Iterable[Scalar], one: Scalar, tol: float) -> tuple[Scalar, ...]:

@@ -33,7 +33,6 @@ from .numeric import (
     parse_values,
     plain_row,
     resolve_mode,
-    scale_pairs,
     shown,
     unscale,
 )
@@ -102,10 +101,10 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
     squared moduli where applicable, sorted non-increasing. Exact moduli
     are squared, summed, sorted and checked as integer numerators over
     one², and built as Fractions once they are in order. A plain exact row
-    of amplitude strings gives its numerators straight from the integer
-    pairs of numeric.plain_row, with no Fraction per component; any other
-    row is parsed by numeric.parse_values. Schmidt weights and spectra are
-    vector entries and enter through make_vector.
+    of amplitude strings gives its numerators straight from
+    numeric.plain_row, with no Fraction per component; any other row is
+    parsed value by value by numeric.parse_values. Schmidt weights and
+    spectra are vector entries and enter through make_vector.
     """
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
@@ -113,8 +112,8 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         parts = _amplitude_components(spec.amplitudes)
         values = [c for part in parts for c in part]
         exact, tol = resolve_mode(values, tol)
-        if exact and (pairs := plain_row(values)) is not None:
-            one, numerators = scale_pairs(pairs)
+        if exact and (row := plain_row(values)) is not None:
+            one, numerators, _ = row
         else:
             one, (numerators,) = common_scale((parse_values(values, tol)[0],), tol)
         components = iter(numerators)  # each squared modulus takes its own parts

@@ -34,8 +34,8 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def reference_parse_scalar(value, exact):
-    """numeric.parse_scalar as it was before plain strings were read directly:
-    every string goes through Fraction(value)."""
+    """numeric.parse_scalar without its plain float reader: every string goes
+    through Fraction(value), as every exact value does in the library."""
     if isinstance(value, bool):
         raise ParseError(f"not a scalar: {value!r}")
     if isinstance(value, str) and (found := _EXPONENT.search(value)):
@@ -61,8 +61,8 @@ def reference_parse_scalar(value, exact):
 
 
 def reference_parse_values(values, tol):
-    """numeric.parse_values as it was before plain rows were read whole:
-    resolve_mode's rule, then reference_parse_scalar on each value."""
+    """numeric.parse_values on reference_parse_scalar: resolve_mode's rule,
+    then reference_parse_scalar on each value."""
     exact, t = resolve_mode(values, tol)
     return tuple(reference_parse_scalar(v, exact) for v in values), t
 

@@ -226,6 +226,13 @@ class TestExitCodes:
         assert out == ""
         assert err == f"majlat: InputArityError: {argv[0]} expects {expected} vector(s), got {count}\n"
 
+    def test_failed_render_leaves_svg_file_unchanged(self, tmp_path):
+        path = write_vectors(tmp_path / "mixed.json", [FIG_X, ["0.5", "0.25", "0.25"]])
+        svg = tmp_path / "plot.svg"
+        svg.write_text("earlier plot", encoding="utf-8")
+        assert run_cli("lorenz", "-i", path, "--svg", str(svg)) == 1  # curve dimensions differ
+        assert svg.read_text(encoding="utf-8") == "earlier plot"
+
     def test_missing_file_is_two(self, tmp_path):
         assert run_cli("meet", "-i", str(tmp_path / "nope.json")) == 2
 

@@ -74,6 +74,8 @@ class TestMakeVector:
     def test_zero_sum_normalize_rejected(self):
         with pytest.raises(NotNormalizedError):
             make_vector([0, 0], normalize=True)
+        with pytest.raises(NotNormalizedError, match="cannot normalize entries that sum to inf"):
+            make_vector([1e308, 1e308], normalize=True)  # a float sum that overflows
 
     def test_mixed_modes_rejected(self):
         with pytest.raises(ModeMismatchError):

@@ -1,8 +1,9 @@
 """Parsing, entry checks and canonical text against the Fraction-only references in oracles.py.
 
-parse_scalar reads plain ASCII decimals and ratios directly and sends every
-other string through Fraction; parse_values and make_vector read a plain
-exact row whole, as integer pairs, and any other row one entry at a time.
+parse_scalar reads plain ASCII decimals directly in float mode and sends
+every other value through Fraction, and parse_values calls it on each value;
+make_vector without its flags reads a plain exact row whole, as integer
+pairs, and any other row one entry at a time through parse_values.
 _check_entries checks both modes in one pass, exact entries on integer
 numerators scaled one at a time, so its memory holds one numerator and the
 total; make_vector checks a plain row's pairs the same way. All must behave
@@ -140,6 +141,7 @@ def _rows(draw):
 @example(["2/4", "1/2"], None, False, False)
 # Fraction reads the first entry; int() of its 6000 digits cannot
 @example(["1" * 3000 + "." + "1" * 3000, "1"], None, False, True)
+@example(["1" * 3000 + "." + "1" * 3000, "1"], None, False, False)  # the same row through plain_row
 @example([Fraction(1, 4), Fraction(1, 2)], None, True, False)  # sorted, sums to 3/4
 @example(["1/2", Fraction(-1, 4), "0.5"], None, False, True)  # normalized, -1/3 negative
 def test_rows_match_per_entry_route(row, tol, sort, normalize):
