@@ -73,14 +73,21 @@ MUTANTS = [
     ("no negative-zero fallback", "numeric.py",
      [('return None if x == 0 and text[0] == "-" or math.isinf(x) else x', "return None if math.isinf(x) else x")],
      [SPECIAL]),
-    # The plain exact row reader (numeric.plain_row) and its users.
+    # The exact row reader (numeric.exact_row) and make_vector on its numerators.
     ("no newline-count guard", "numeric.py", [('text.count("\\n") != len(values) or ', "")], [ROWS]),
     ("max(q) in place of the lcm", "numeric.py",
      [("one = math.lcm(*[q for _, q in pairs])", "one = max(q for _, q in pairs)")], [ROWS]),
     ("no digit-limit decline", "numeric.py",
      [("if limit and len(text) > limit and max(map(len, values)) > limit:", "if False:")], [ROWS]),
     ("zero denominators read", "numeric.py", [("/0*[1-9][0-9]*)?", "/[0-9]+)?")], [ROWS]),
-    ("make_vector's general route unchecked", "core.py", [("    _check_entries(entries, tol)\n", "")], [ROWS]),
+    ("exact normalize leaves one unchanged", "core.py",
+     [("one, numerators = (total, numerators) if exact", "one, numerators = (one, numerators) if exact")], [ROWS]),
+    ("make_vector sorts ascending", "core.py",
+     [("numerators = sorted(numerators, reverse=True)", "numerators = sorted(numerators)")], [ROWS]),
+    ("exact_row's per-entry fallback pairs (f.numerator, 1)", "numeric.py",
+     [("[(f.numerator, f.denominator) for f in", "[(f.numerator, 1) for f in")], [ROWS]),
+    ("make_vector's numerators unchecked", "core.py",
+     [("    _check_numerators(numerators, one, tol, len(values))\n", "")], [ROWS]),
     # The one mode rule (numeric.resolve_mode).
     ("bool tolerance read as a number", "numeric.py",
      [("        if isinstance(tol, bool):  # float(True) would be a tolerance of 1.0\n"

@@ -33,13 +33,14 @@ from .numeric import (
     common_scale,
     cumulative_sums,
     eq,
+    exact_row,
     geq,
     parse_scalar,
     parse_values,
-    plain_row,
     resolve_mode,
     scalar_str,
     shown,
+    unscale,
 )
 
 
@@ -153,12 +154,12 @@ class LorenzCurve(_Frozen):
 def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
     """Sign, order and sum checks of parsed, non-empty vector entries, in one pass.
 
-    make_vector checks here every row that does not take its plain exact
-    route, and ball vertex listing its candidates. The entries are checked over
-    numeric.common_scale's one common denominator by _check_numerators,
-    the one place the vector rule is written, which make_vector also calls
-    on the integer pairs of a plain row: exact numerators are scaled one at
-    a time as they are checked, so memory holds one numerator and the total.
+    Ball vertex listing checks its candidates here. The entries are
+    checked over numeric.common_scale's one common denominator by
+    _check_numerators, the one place the vector rule is written, which
+    make_vector calls on the numerators of every row: exact numerators are
+    scaled one at a time as they are checked, so memory holds one
+    numerator and the total.
     """
     one, (values,) = common_scale((entries,), tol)
     _check_numerators(values, one, tol, len(entries))
@@ -240,30 +241,28 @@ def make_vector(
     satisfy the corresponding invariant. Mode is inferred from the entry
     types unless tol forces it (0 exact, positive float).
 
-    A plain exact row of decimal and ratio strings, without the flags, is
-    read by numeric.plain_row, checked on its numerators over the lcm of
-    every denominator, then built as one Fraction per integer pair. Every
-    other row is parsed value by value by numeric.parse_values,
-    normalized and sorted as asked, then checked by _check_entries.
+    An exact row is read by numeric.exact_row as integer numerators over
+    the lcm of its denominators, a float row as floats over 1.0; normalize
+    and sort work on those numerators, and _check_numerators checks them
+    once. An unflagged exact row is built as one Fraction per integer pair,
+    so its check holds one numerator at a time.
     """
     values = tuple(raw)
     if not values:
         raise EmptyInputError("no entries given")
     exact, tol = resolve_mode(values, tol)
-    if exact and not (normalize or sort) and (row := plain_row(values)) is not None:
-        one, numerators, pairs = row
-        _check_numerators(numerators, one, tol, len(values))
-        return _trusted(OrderedProbVector, entries=tuple(starmap(Fraction, pairs)), tol=tol)
-    entries, _ = parse_values(values, tol)
+    one, numerators, pairs = exact_row(values) if exact else (1.0, parse_values(values, tol)[0], None)
     if normalize:
-        total = sum(entries)
+        numerators = tuple(numerators)
+        total = sum(numerators)
         if not 0 < total < math.inf:  # a float sum that overflows would divide every entry to 0.0
-            raise NotNormalizedError(f"cannot normalize entries that sum to {shown(total)}")
-        entries = tuple(e / total for e in entries)
+            raise NotNormalizedError(f"cannot normalize entries that sum to {_shown_entry(total, one, tol)}")
+        one, numerators = (total, numerators) if exact else (one, tuple(e / total for e in numerators))
     if sort:
-        entries = tuple(sorted(entries, reverse=True))
-    _check_entries(entries, tol)
-    return _trusted(OrderedProbVector, entries=entries, tol=tol)
+        numerators = sorted(numerators, reverse=True)
+    _check_numerators(numerators, one, tol, len(values))
+    entries = starmap(Fraction, pairs) if exact and not (normalize or sort) else unscale(numerators, one, tol)
+    return _trusted(OrderedProbVector, entries=tuple(entries), tol=tol)
 
 
 def _check_dimension(d: object) -> int:

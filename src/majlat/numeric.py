@@ -7,12 +7,13 @@ comparisons live here, so every entry point parses alike and the tie
 policy is uniform: a difference within tau counts as zero.
 
 parse_scalar and parse_values read exact values through Fraction, one at
-a time. Whole rows have one faster reader, plain_row, which
-core.make_vector (without its flags) and resource_theory.state_to_vector
-(for amplitudes) try first: a row of plain decimal and ratio strings
-becomes integer pairs (n, q) in one regular-expression match. Exact
-entries are compared and checked as integer numerators over one common
-denominator (common_scale, or plain_row on its pairs).
+a time. An exact row given to core.make_vector or to
+resource_theory.state_to_vector (as amplitudes) is read by exact_row as
+integer pairs (n, q) over their lcm: in one regular-expression match when
+every value is a plain decimal or ratio string, else value by value
+through parse_scalar. Exact entries are compared and checked as integer
+numerators over one common denominator (exact_row, or common_scale on
+parsed rows).
 """
 
 from __future__ import annotations
@@ -44,8 +45,25 @@ _PLAIN_ROW = re.compile(r"(?:[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|/0*[1-9][0-9]*)?
 _PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?([0-9]+))?")
 
 
-def plain_row(values: Sequence[object]) -> tuple[int, Iterator[int], list[tuple[int, int]]] | None:
-    """(one, numerators, pairs) of a plain exact row, or None when the row is not plain.
+def exact_row(values: Sequence[object]) -> tuple[int, Iterator[int], list[tuple[int, int]]]:
+    """(one, numerators, pairs) of an exact row: each value n/q as an integer pair (n, q).
+
+    A plain row is read whole by _plain_pairs. Any row it declines is read
+    value by value, as (f.numerator, f.denominator) of f = parse_scalar(v,
+    True), with that function's errors. The pairs are not reduced. one is
+    the lcm of every q, and each numerator n * (one // q) is yielded
+    lazily, as common_scale does, so a consumer that takes them one at a
+    time holds one of them.
+    """
+    pairs = _plain_pairs(values)
+    if pairs is None:
+        pairs = [(f.numerator, f.denominator) for f in (parse_scalar(v, True) for v in values)]
+    one = math.lcm(*[q for _, q in pairs])
+    return one, (n * (one // q) for n, q in pairs), pairs
+
+
+def _plain_pairs(values: Sequence[object]) -> list[tuple[int, int]] | None:
+    """The integer pairs of a row of plain decimal and ratio strings, or None.
 
     One fullmatch of _PLAIN_ROW checks the whole row, joined with a newline
     after each value. The row is declined (None) when a value is not
@@ -53,10 +71,7 @@ def plain_row(values: Sequence[object]) -> tuple[int, Iterator[int], list[tuple[
     Fraction(value) raises but int() of the joined digits might not), or
     holds a newline, so the joined text has more than len(values) of them.
     A decimal gives the pair (int(whole + frac), 10**len(frac)), a ratio
-    (int(p), int(q)); the pairs, with value n/q, are not reduced. one is
-    the lcm of every q, and each numerator n * (one // q) is yielded
-    lazily, as common_scale does, so a consumer that takes them one at a
-    time holds one of them.
+    (int(p), int(q)).
     """
     try:
         text = "\n".join(values) + "\n"
@@ -77,8 +92,7 @@ def plain_row(values: Sequence[object]) -> tuple[int, Iterator[int], list[tuple[
         else:
             whole, _, frac = v.partition(".")
             pairs.append((int(whole + frac), 10 ** len(frac)))
-    one = math.lcm(*[q for _, q in pairs])
-    return one, (n * (one // q) for n, q in pairs), pairs
+    return pairs
 
 
 def _plain_float(text: str) -> float | None:
@@ -200,7 +214,7 @@ def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, 
     yields each entry n/q lazily, one at a time, as the integer
     n * (one // q): integers that add, compare and sort as the Fractions
     do, at a fraction of the cost. Float mode returns the rows themselves,
-    with one = 1.0. plain_row gives the same numerators from a plain row's
+    with one = 1.0. exact_row gives the same numerators from a raw row's
     integer pairs.
     """
     if tol:

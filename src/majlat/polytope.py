@@ -93,7 +93,7 @@ def ball_vertices(ball: Ball) -> Polytope:
     coordinate ties, so the sweep reaches every vertex; constant sign
     patterns are pruned because they are never tight for a positive
     radius. Each candidate passes one check, _feasible: the ball's l1
-    test, then core._check_entries, the check OrderedProbVector runs. So
+    test, then core._check_entries, the vector rule OrderedProbVector checks. So
     the kept vertices and their Polytope are built trusted, deduplicated
     and sorted as Polytope does it. Exact mode stays entirely in rationals.
 

@@ -26,16 +26,7 @@ from .errors import (
     NegativeProbabilityError,
 )
 from .lattice import ExtremalFamily, family_inf, family_sup
-from .numeric import (
-    common_scale,
-    leq,
-    lt,
-    parse_values,
-    plain_row,
-    resolve_mode,
-    shown,
-    unscale,
-)
+from .numeric import exact_row, leq, lt, parse_values, resolve_mode, shown, unscale
 
 
 class Direction(Enum):
@@ -98,13 +89,11 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
 
     Coherence and entanglement accept amplitudes (entanglement also takes
     Schmidt weights directly); purity takes a spectrum. The result is the
-    squared moduli where applicable, sorted non-increasing. Exact moduli
-    are squared, summed, sorted and checked as integer numerators over
-    one², and built as Fractions once they are in order. A plain exact row
-    of amplitude strings gives its numerators straight from
-    numeric.plain_row, with no Fraction per component; any other row is
-    parsed value by value by numeric.parse_values. Schmidt weights and
-    spectra are vector entries and enter through make_vector.
+    squared moduli where applicable, sorted non-increasing. Exact
+    amplitude components are read by numeric.exact_row as integer
+    numerators over one, squared, summed, sorted and checked as integers
+    over one², and built as Fractions once they are in order. Schmidt
+    weights and spectra are vector entries and enter through make_vector.
     """
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
@@ -112,10 +101,7 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         parts = _amplitude_components(spec.amplitudes)
         values = [c for part in parts for c in part]
         exact, tol = resolve_mode(values, tol)
-        if exact and (row := plain_row(values)) is not None:
-            one, numerators, _ = row
-        else:
-            one, (numerators,) = common_scale((parse_values(values, tol)[0],), tol)
+        one, numerators, _ = exact_row(values) if exact else (1.0, parse_values(values, tol)[0], None)
         components = iter(numerators)  # each squared modulus takes its own parts
         squares = sorted((sum(c * c for c in islice(components, len(part))) for part in parts), reverse=True)
         # Squares are never negative, so only the unit-sum test can fail here.

@@ -68,8 +68,9 @@ def reference_parse_values(values, tol):
 
 
 def reference_make_vector(raw, *, normalize=False, sort=False, tol=None):
-    """core.make_vector as it was before it checked plain rows as integer pairs:
-    entries parsed one at a time, then the Fraction checks."""
+    """core.make_vector as it was before it read exact rows as integer pairs:
+    entries parsed one at a time, normalized and sorted as Fractions, then
+    the Fraction checks."""
     values = tuple(raw)
     if not values:
         raise EmptyInputError("no entries given")

@@ -1,12 +1,13 @@
 """Parsing, entry checks and canonical text against the Fraction-only references in oracles.py.
 
 parse_scalar reads plain ASCII decimals directly in float mode and sends
-every other value through Fraction, and parse_values calls it on each value;
-make_vector without its flags reads a plain exact row whole, as integer
-pairs, and any other row one entry at a time through parse_values.
-_check_entries checks both modes in one pass, exact entries on integer
-numerators scaled one at a time, so its memory holds one numerator and the
-total; make_vector checks a plain row's pairs the same way. All must behave
+every other value through Fraction, and parse_values calls it on each value.
+make_vector reads every exact row as integer pairs over their lcm: a plain
+row whole, any other row one entry at a time through parse_scalar; it
+normalizes and sorts the numerators and checks them once. _check_entries
+checks both modes in one pass, exact entries on integer numerators scaled
+one at a time, so its memory holds one numerator and the total; make_vector
+checks an unflagged row's pairs the same way. All must behave
 exactly as the references do: equal values of the same type (the same repr
 in float mode, signed zero included) and the same exception class and
 message. scalar_str works on the numerator and denominator as integers and
@@ -120,11 +121,14 @@ _LONG = "1" * 4301  # one digit past the int-to-text digit limit
 
 @st.composite
 def _rows(draw):
-    """1-70 entries: plain decimals and ratios only, or mixed with entries that decline the row."""
+    """1-70 entries: plain decimals and ratios only, or mixed with ints and
+    Fractions, with entries that decline the row, or with both."""
     sign = st.just("") if draw(st.booleans()) else _sign
     digits = st.text("0123456789", min_size=1, max_size=12)
     ratios = st.builds(lambda s, p, q: f"{s}{p}/{q}", sign, digits, digits)
     entry = _decimals(sign, digits, exponent=False) | ratios
+    if draw(st.booleans()):
+        entry |= st.integers(-1, 3) | st.fractions(0, 1, max_denominator=100)
     if draw(st.booleans()):
         entry |= _decimals() | _ratios | _altered() | st.sampled_from([*_SPECIAL, _LONG, "0.\n5", "1\n"])
     return draw(st.lists(entry, min_size=1, max_size=70))
@@ -141,9 +145,12 @@ def _rows(draw):
 @example(["2/4", "1/2"], None, False, False)
 # Fraction reads the first entry; int() of its 6000 digits cannot
 @example(["1" * 3000 + "." + "1" * 3000, "1"], None, False, True)
-@example(["1" * 3000 + "." + "1" * 3000, "1"], None, False, False)  # the same row through plain_row
+@example(["1" * 3000 + "." + "1" * 3000, "1"], None, False, False)  # the same row with no flags
 @example([Fraction(1, 4), Fraction(1, 2)], None, True, False)  # sorted, sums to 3/4
 @example(["1/2", Fraction(-1, 4), "0.5"], None, False, True)  # normalized, -1/3 negative
+@example(["0", "0/3", "0.0"], None, False, True)  # cannot normalize: Fraction(0, 1)
+@example(["-1/2", "0.25"], 0, True, True)  # cannot normalize: Fraction(-1, 4)
+@example(["0.9", "1e-1"], None, True, False)  # an exponent declines the whole row, read entry by entry
 def test_rows_match_per_entry_route(row, tol, sort, normalize):
     """make_vector and parse_values on a whole row: the same vector or entries, all
     Fractions, or the same error as parsing and checking one entry at a time."""
