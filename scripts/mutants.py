@@ -27,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CHECKS = "tests/test_parse.py::test_check_entries_matches_fraction_checks"
+CHECKS = "tests/test_parse.py::test_entry_check_matches_fraction_checks"
 ROWS = "tests/test_parse.py::test_rows_match_per_entry_route"
 KERNELS = "tests/test_kernels.py"
 SPECIAL = "tests/test_parse.py::test_special_strings_match_fraction_route"
@@ -48,7 +48,8 @@ MUTANTS = [
      [CHECKS]),
     ("float start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), 0.0)")], [CHECKS]),
     ("-0.0 start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), -0.0)")], [CHECKS]),
-    ("_feasible without the entry check", "polytope.py", [("        _check_entries(x, tol)\n", "        pass\n")],
+    ("_feasible without the entry check", "polytope.py",
+     [("        _check_numerators(numerators, one, tol, len(x))\n", "        pass\n")],
      ["tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"]),
     # The exact kernels on integer numerators over one common denominator.
     ("unscale as v / one", "numeric.py",
@@ -73,7 +74,7 @@ MUTANTS = [
     ("no negative-zero fallback", "numeric.py",
      [('return None if x == 0 and text[0] == "-" or math.isinf(x) else x', "return None if math.isinf(x) else x")],
      [SPECIAL]),
-    # The exact row reader (numeric.exact_row) and make_vector on its numerators.
+    # The row reader (numeric.read_row) and make_vector on its numerators and entries.
     ("no newline-count guard", "numeric.py", [('text.count("\\n") != len(values) or ', "")], [ROWS]),
     ("max(q) in place of the lcm", "numeric.py",
      [("one = math.lcm(*[q for _, q in pairs])", "one = max(q for _, q in pairs)")], [ROWS]),
@@ -81,11 +82,18 @@ MUTANTS = [
      [("if limit and len(text) > limit and max(map(len, values)) > limit:", "if False:")], [ROWS]),
     ("zero denominators read", "numeric.py", [("/0*[1-9][0-9]*)?", "/[0-9]+)?")], [ROWS]),
     ("exact normalize leaves one unchanged", "core.py",
-     [("one, numerators = (total, numerators) if exact", "one, numerators = (one, numerators) if exact")], [ROWS]),
+     [("one, numerators = (total, numerators) if tol == 0", "one, numerators = (one, numerators) if tol == 0")],
+     [ROWS]),
     ("make_vector sorts ascending", "core.py",
      [("numerators = sorted(numerators, reverse=True)", "numerators = sorted(numerators)")], [ROWS]),
-    ("exact_row's per-entry fallback pairs (f.numerator, 1)", "numeric.py",
-     [("[(f.numerator, f.denominator) for f in", "[(f.numerator, 1) for f in")], [ROWS]),
+    ("read_row reads plain float rows as exact pairs", "numeric.py",
+     [("pairs = _plain_pairs(values) if exact else None", "pairs = _plain_pairs(values)")],
+     ["tests/test_parse.py::test_float_mode_signed_zero"]),
+    ("read_row rebuilds a declined row's entries from its pairs", "numeric.py",
+     [("        return tol, one, numerators, entries\n",
+       "        return tol, one, numerators, tuple(Fraction(e.numerator, e.denominator) for e in entries) "
+       "if exact else entries\n")],
+     ["tests/test_parse.py::test_declined_row_keeps_parsed_entries"]),
     ("make_vector's numerators unchecked", "core.py",
      [("    _check_numerators(numerators, one, tol, len(values))\n", "")], [ROWS]),
     # The one mode rule (numeric.resolve_mode).

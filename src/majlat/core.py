@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, pairwise, starmap
+from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -33,10 +33,10 @@ from .numeric import (
     common_scale,
     cumulative_sums,
     eq,
-    exact_row,
     geq,
     parse_scalar,
     parse_values,
+    read_row,
     resolve_mode,
     scalar_str,
     shown,
@@ -151,28 +151,16 @@ class LorenzCurve(_Frozen):
         return self.values[k] + (self.values[k + 1] - self.values[k]) * (x - k)
 
 
-def _check_entries(entries: Sequence[Scalar], tol: float) -> None:
-    """Sign, order and sum checks of parsed, non-empty vector entries, in one pass.
-
-    Ball vertex listing checks its candidates here. The entries are
-    checked over numeric.common_scale's one common denominator by
-    _check_numerators, the one place the vector rule is written, which
-    make_vector calls on the numerators of every row: exact numerators are
-    scaled one at a time as they are checked, so memory holds one
-    numerator and the total.
-    """
-    one, (values,) = common_scale((entries,), tol)
-    _check_numerators(values, one, tol, len(entries))
-
-
 def _check_numerators(values: Iterable[Scalar], one: Scalar, tol: float, d: int) -> None:
-    """_check_entries on d entries as numerators over one: exact, or the floats themselves over 1.0.
+    """The vector rule on d entries given as numerators over one.
 
-    Any negative entry is reported first, then the first rise by more
-    than tol, then a sum more than tol * d away from one. An exact entry
-    is shown in a message as Fraction(n, one). sum() takes the total, so
-    a float total rounds as sum(entries) does on every Python (3.12
-    changed that rounding).
+    make_vector checks every row here, ball listing every candidate over
+    numeric.common_scale. Float entries are their own numerators over 1.0;
+    exact ones are taken one at a time, so memory holds one numerator and
+    the total. Any negative entry is reported first, then the first rise
+    by more than tol, then a sum more than tol * d away from one. An exact
+    entry is shown as Fraction(n, one). sum() takes the total, so a float
+    total rounds as sum(entries) does on every Python (3.12 changed that).
     """
     rise = []
 
@@ -241,27 +229,28 @@ def make_vector(
     satisfy the corresponding invariant. Mode is inferred from the entry
     types unless tol forces it (0 exact, positive float).
 
-    An exact row is read by numeric.exact_row as integer numerators over
-    the lcm of its denominators, a float row as floats over 1.0; normalize
-    and sort work on those numerators, and _check_numerators checks them
-    once. An unflagged exact row is built as one Fraction per integer pair,
-    so its check holds one numerator at a time.
+    numeric.read_row reads the row once: an exact row as integer
+    numerators over the lcm of its denominators, a float row as floats
+    over 1.0. normalize and sort work on those numerators, and
+    _check_numerators checks them once, one at a time. The entries
+    read_row built are kept unless the row was normalized or sorted; then
+    they are the numerators unscaled.
     """
     values = tuple(raw)
     if not values:
         raise EmptyInputError("no entries given")
-    exact, tol = resolve_mode(values, tol)
-    one, numerators, pairs = exact_row(values) if exact else (1.0, parse_values(values, tol)[0], None)
+    tol, one, numerators, entries = read_row(values, tol)
     if normalize:
         numerators = tuple(numerators)
         total = sum(numerators)
         if not 0 < total < math.inf:  # a float sum that overflows would divide every entry to 0.0
             raise NotNormalizedError(f"cannot normalize entries that sum to {_shown_entry(total, one, tol)}")
-        one, numerators = (total, numerators) if exact else (one, tuple(e / total for e in numerators))
+        one, numerators = (total, numerators) if tol == 0 else (one, tuple(e / total for e in numerators))
     if sort:
         numerators = sorted(numerators, reverse=True)
     _check_numerators(numerators, one, tol, len(values))
-    entries = starmap(Fraction, pairs) if exact and not (normalize or sort) else unscale(numerators, one, tol)
+    if normalize or sort:
+        entries = unscale(numerators, one, tol)
     return _trusted(OrderedProbVector, entries=tuple(entries), tol=tol)
 
 

@@ -7,13 +7,14 @@ comparisons live here, so every entry point parses alike and the tie
 policy is uniform: a difference within tau counts as zero.
 
 parse_scalar and parse_values read exact values through Fraction, one at
-a time. An exact row given to core.make_vector or to
-resource_theory.state_to_vector (as amplitudes) is read by exact_row as
-integer pairs (n, q) over their lcm: in one regular-expression match when
-every value is a plain decimal or ratio string, else value by value
-through parse_scalar. Exact entries are compared and checked as integer
-numerators over one common denominator (exact_row, or common_scale on
-parsed rows).
+a time. read_row is the one reader of a row given to core.make_vector or
+to resource_theory.state_to_vector (as amplitudes): it yields the row's
+entries and their numerators over one common denominator, integers in
+exact mode. A plain exact row of decimal and ratio strings is read in one
+regular-expression match as integer pairs (n, q); any other row value by
+value through parse_scalar. Exact entries are compared and checked as
+integer numerators over one common denominator (read_row, or
+common_scale on parsed rows).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import accumulate, starmap
+from typing import Iterable, Sequence, Union
 
 from .errors import ModeMismatchError, ParseError
 
@@ -45,21 +46,23 @@ _PLAIN_ROW = re.compile(r"(?:[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|/0*[1-9][0-9]*)?
 _PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?([0-9]+))?")
 
 
-def exact_row(values: Sequence[object]) -> tuple[int, Iterator[int], list[tuple[int, int]]]:
-    """(one, numerators, pairs) of an exact row: each value n/q as an integer pair (n, q).
+def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar, Iterable[Scalar], Iterable[Scalar]]:
+    """(tol, one, numerators, entries) of a raw row, in the mode resolve_mode picks.
 
-    A plain row is read whole by _plain_pairs. Any row it declines is read
-    value by value, as (f.numerator, f.denominator) of f = parse_scalar(v,
-    True), with that function's errors. The pairs are not reduced. one is
-    the lcm of every q, and each numerator n * (one // q) is yielded
-    lazily, as common_scale does, so a consumer that takes them one at a
-    time holds one of them.
+    Float entries are their own numerators over one = 1.0. Exact numerators
+    are the integers n * (one // q) over the lcm one of the denominators q,
+    yielded lazily as by common_scale. Each exact entry is built once: from
+    the pairs of a row _plain_pairs reads, lazily, or by parse_scalar, with
+    its errors, for a row _plain_pairs declines.
     """
-    pairs = _plain_pairs(values)
+    exact, tol = resolve_mode(values, tol)
+    pairs = _plain_pairs(values) if exact else None
     if pairs is None:
-        pairs = [(f.numerator, f.denominator) for f in (parse_scalar(v, True) for v in values)]
+        entries = tuple(parse_scalar(v, exact) for v in values)
+        one, (numerators,) = common_scale((entries,), tol)
+        return tol, one, numerators, entries
     one = math.lcm(*[q for _, q in pairs])
-    return one, (n * (one // q) for n, q in pairs), pairs
+    return tol, one, (n * (one // q) for n, q in pairs), starmap(Fraction, pairs)
 
 
 def _plain_pairs(values: Sequence[object]) -> list[tuple[int, int]] | None:
@@ -214,8 +217,8 @@ def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, 
     yields each entry n/q lazily, one at a time, as the integer
     n * (one // q): integers that add, compare and sort as the Fractions
     do, at a fraction of the cost. Float mode returns the rows themselves,
-    with one = 1.0. exact_row gives the same numerators from a raw row's
-    integer pairs.
+    with one = 1.0. read_row gives a raw row's numerators by this rule, from
+    the integer pairs of a plain exact row or from its parsed entries.
     """
     if tol:
         return 1.0, rows

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .core import OrderedProbVector, _check_entries, _Frozen, _trusted, bottom
+from .core import OrderedProbVector, _check_numerators, _Frozen, _trusted, bottom
 from .errors import (
     DimensionTooLargeError,
     NegativeEntryError,
@@ -25,7 +25,7 @@ from .errors import (
     NotSortedError,
 )
 from .lattice import _members, family_inf, family_sup
-from .numeric import Scalar, leq, parse_scalar, shown, solve_square
+from .numeric import Scalar, common_scale, leq, parse_scalar, shown, solve_square
 
 MAX_DIMENSION = 10  # vertex listing cost explodes beyond this; the bounds need no cap
 
@@ -93,7 +93,7 @@ def ball_vertices(ball: Ball) -> Polytope:
     coordinate ties, so the sweep reaches every vertex; constant sign
     patterns are pruned because they are never tight for a positive
     radius. Each candidate passes one check, _feasible: the ball's l1
-    test, then core._check_entries, the vector rule OrderedProbVector checks. So
+    test, then core._check_numerators, the vector rule make_vector checks. So
     the kept vertices and their Polytope are built trusted, deduplicated
     and sorted as Polytope does it. Exact mode stays entirely in rationals.
 
@@ -144,11 +144,12 @@ def _candidates(x0: Sequence[Scalar], eps: Scalar, tol: float) -> Iterator[tuple
 
 
 def _feasible(x: Sequence[Scalar], x0: Sequence[Scalar], eps: Scalar, tol: float) -> bool:
-    """x is in the ball and passes core._check_entries: sorted, non-negative, unit sum."""
+    """x is in the ball and passes core._check_numerators: sorted, non-negative, unit sum."""
     if not leq(_l1(x, x0), eps, tol * len(x0)):
         return False
+    one, (numerators,) = common_scale((x,), tol)
     try:
-        _check_entries(x, tol)
+        _check_numerators(numerators, one, tol, len(x))
     except (NegativeEntryError, NotSortedError, NotNormalizedError):
         return False
     return True

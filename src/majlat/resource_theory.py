@@ -26,7 +26,7 @@ from .errors import (
     NegativeProbabilityError,
 )
 from .lattice import ExtremalFamily, family_inf, family_sup
-from .numeric import exact_row, leq, lt, parse_values, resolve_mode, shown, unscale
+from .numeric import leq, lt, parse_values, read_row, shown, unscale
 
 
 class Direction(Enum):
@@ -90,7 +90,7 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
     Coherence and entanglement accept amplitudes (entanglement also takes
     Schmidt weights directly); purity takes a spectrum. The result is the
     squared moduli where applicable, sorted non-increasing. Exact
-    amplitude components are read by numeric.exact_row as integer
+    amplitude components are read by numeric.read_row as integer
     numerators over one, squared, summed, sorted and checked as integers
     over one², and built as Fractions once they are in order. Schmidt
     weights and spectra are vector entries and enter through make_vector.
@@ -100,8 +100,7 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
             raise InvalidStateSpecError("purity takes a spectrum, not amplitudes")
         parts = _amplitude_components(spec.amplitudes)
         values = [c for part in parts for c in part]
-        exact, tol = resolve_mode(values, tol)
-        one, numerators, _ = exact_row(values) if exact else (1.0, parse_values(values, tol)[0], None)
+        tol, one, numerators, _ = read_row(values, tol)
         components = iter(numerators)  # each squared modulus takes its own parts
         squares = sorted((sum(c * c for c in islice(components, len(part))) for part in parts), reverse=True)
         # Squares are never negative, so only the unit-sum test can fail here.

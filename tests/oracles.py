@@ -115,8 +115,8 @@ def reference_scalar_str(value):
 
 
 def reference_check_entries(entries, tol):
-    """core._check_entries as it was before exact mode checked integer
-    numerators: Fraction comparisons and a Fraction sum."""
+    """The vector rule of core._check_numerators on parsed entries, without
+    integer numerators: Fraction comparisons and a Fraction sum."""
     zero = entries[0] * 0
     for e in entries:
         if not geq(e, zero, tol):
@@ -130,8 +130,8 @@ def reference_check_entries(entries, tol):
 
 
 def reference_feasible(x, x0, eps, tol):
-    """polytope._feasible as it was before it asked core._check_entries:
-    the ball test and its own order, sign and sum tests."""
+    """polytope._feasible without core._check_numerators: the ball test and
+    its own order, sign and sum tests."""
     d = len(x0)
     zero = x0[0] * 0
     return (

@@ -2,12 +2,13 @@
 
 parse_scalar reads plain ASCII decimals directly in float mode and sends
 every other value through Fraction, and parse_values calls it on each value.
-make_vector reads every exact row as integer pairs over their lcm: a plain
-row whole, any other row one entry at a time through parse_scalar; it
-normalizes and sorts the numerators and checks them once. _check_entries
-checks both modes in one pass, exact entries on integer numerators scaled
-one at a time, so its memory holds one numerator and the total; make_vector
-checks an unflagged row's pairs the same way. All must behave
+make_vector reads every row through read_row, as numerators over one common
+denominator: a plain exact row whole as integer pairs, any other row one
+entry at a time through parse_scalar, whose Fractions it keeps as entries;
+it normalizes and sorts the numerators and checks them once with
+_check_numerators. That check takes both modes in one pass, exact
+numerators one at a time, so its memory holds one numerator and the total,
+whether make_vector or ball listing (over common_scale) asks it. All must behave
 exactly as the references do: equal values of the same type (the same repr
 in float mode, signed zero included) and the same exception class and
 message. scalar_str works on the numerator and denominator as integers and
@@ -25,11 +26,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from majlat import make_vector
+from majlat import make_vector, numeric
 from majlat.cli import main
-from majlat.core import _check_entries
+from majlat.core import _check_numerators
 from majlat.errors import MajlatError, NotNormalizedError
-from majlat.numeric import parse_scalar, parse_values, scalar_str
+from majlat.numeric import common_scale, parse_scalar, parse_values, scalar_str
 
 from .oracles import (
     reference_check_entries,
@@ -206,12 +207,18 @@ _LOW = 1.0 - 1e-12 * 2
 @example((0.5, math.nextafter(_LOW, 0) - 0.5))
 @example((-0.0,))
 @example((0.3,) * 10)  # a total that sum() rounds apart from a running sum on Python 3.12+
-def test_check_entries_matches_fraction_checks(entries):
+def test_entry_check_matches_fraction_checks(entries):
     """Exact mode on the entries as Fractions, float mode on them as floats."""
     exact = tuple(map(Fraction, entries))
-    assert _outcome(_check_entries, exact, 0) == _outcome(reference_check_entries, exact, 0)
+    assert _outcome(_check_scaled, exact, 0) == _outcome(reference_check_entries, exact, 0)
     floats = tuple(map(float, entries))
-    assert _outcome(_check_entries, floats, 1e-12) == _outcome(reference_check_entries, floats, 1e-12)
+    assert _outcome(_check_scaled, floats, 1e-12) == _outcome(reference_check_entries, floats, 1e-12)
+
+
+def _check_scaled(entries, tol):
+    """The entry check ball listing makes: _check_numerators over common_scale."""
+    one, (numerators,) = common_scale((entries,), tol)
+    _check_numerators(numerators, one, tol, len(entries))
 
 
 def test_exact_check_holds_one_numerator_at_a_time():
@@ -220,7 +227,7 @@ def test_exact_check_holds_one_numerator_at_a_time():
     on Fractions and on a plain row's integer pairs alike."""
     entries = tuple(Fraction(1, 10**100 + i) for i in range(500))
     row = [f"1/{10**100 + i}" for i in range(500)]
-    for check in (lambda: _check_entries(entries, 0), lambda: make_vector(row)):
+    for check in (lambda: _check_scaled(entries, 0), lambda: make_vector(row)):
         tracemalloc.start()
         try:
             with pytest.raises(NotNormalizedError):
@@ -229,6 +236,25 @@ def test_exact_check_holds_one_numerator_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("row", [
+    ["1/64"] * 63 + [" 1/64"],  # the space declines the row, read entry by entry
+    [Fraction(1, 64)] * 64,
+], ids=["declined-strings", "fractions"])
+def test_declined_row_keeps_parsed_entries(row, monkeypatch):
+    """A row read entry by entry keeps the Fractions parse_scalar returned as its
+    entries: each is built once, not again from its integer pair."""
+    returned = []
+
+    def recording(value, exact):
+        returned.append(parse_scalar(value, exact))
+        return returned[-1]
+
+    monkeypatch.setattr(numeric, "parse_scalar", recording)
+    entries = make_vector(row).entries
+    assert len(entries) == len(returned) == 64
+    assert all(e is r for e, r in zip(entries, returned))
 
 
 @pytest.mark.parametrize("raw, shown", [

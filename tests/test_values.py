@@ -2,7 +2,9 @@
 
 Equality, hashing, repr text, keyword construction, immutability and the
 instance fields are part of the public behaviour; these tests pin them
-independently of how the classes are written.
+independently of how the classes are written. Values that make_vector and
+the kernels build without running __init__ must keep the same semantics
+as the values the public constructors build.
 """
 
 import copy
@@ -11,7 +13,18 @@ from fractions import Fraction
 
 import pytest
 
-from majlat import Ball, ExtremalFamily, LorenzCurve, OrderedProbVector, Polytope, StateSpec
+from majlat import (
+    Ball,
+    ExtremalFamily,
+    LorenzCurve,
+    OrderedProbVector,
+    Polytope,
+    StateSpec,
+    ball_vertices,
+    family_sup,
+    make_vector,
+    meet,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -80,11 +93,45 @@ CASES = {
 }
 PARAMS = [(name, kind) for name, case in CASES.items() for kind in case[2]]
 
+_OTHER = ("7/16", "7/16", "1/8")  # crosses _vector's Lorenz curve; all entries are exact in binary
+_BALL_VERTICES = [("7/16", "9/32", "9/32"), ("7/16", "5/16", "1/4"), ("1/2", "5/16", "3/16"),
+                  ("9/16", "7/32", "7/32"), ("9/16", "1/4", "3/16")]
 
-@pytest.mark.parametrize("name, kind", PARAMS)
-def test_equal_values_are_equal_and_hash_alike(name, kind):
+# Values make_vector and the kernels build: name -> (build(kind), the same value
+# built through a public constructor(kind), field names).
+BUILT = {
+    "make_vector": (
+        lambda kind: make_vector(["1/2", "1/4", "1/4"], tol=0.0 if kind == "exact" else 1e-9), _vector,
+        ("entries", "tol"),
+    ),
+    "meet": (
+        lambda kind: meet(_vector(kind), _vector(kind, _OTHER)),
+        lambda kind: _vector(kind, ("7/16", "5/16", "1/4")), ("entries", "tol"),
+    ),
+    "family_sup": (
+        lambda kind: family_sup([_vector(kind), _vector(kind, _OTHER)]),
+        lambda kind: _vector(kind, ("1/2", "3/8", "1/8")), ("entries", "tol"),
+    ),
+    "ball_vertices": (
+        lambda kind: ball_vertices(Ball(_vector(kind), "1/8" if kind == "exact" else 0.125)),
+        lambda kind: Polytope(vertices=[_vector(kind, v) for v in _BALL_VERTICES]), ("vertices",),
+    ),
+}
+BUILT_PARAMS = [(name, kind) for name in BUILT for kind in ("exact", "float")]
+
+
+def _case(name):
+    """(build(kind), build an equal value(kind), field names) of a value type or a built value."""
+    if name in BUILT:
+        return BUILT[name]
     build, _, _, _, fields = CASES[name]
-    a, b = build(kind), build(kind)
+    return build, build, fields
+
+
+@pytest.mark.parametrize("name, kind", PARAMS + BUILT_PARAMS)
+def test_equal_values_are_equal_and_hash_alike(name, kind):
+    build, build_equal, fields = _case(name)
+    a, b = build(kind), build_equal(kind)
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
 
@@ -121,9 +168,9 @@ def test_repr_text(name, kind):
     assert repr(build(kind)) == reprs[kind]
 
 
-@pytest.mark.parametrize("name, kind", PARAMS)
+@pytest.mark.parametrize("name, kind", PARAMS + BUILT_PARAMS)
 def test_vars_are_exactly_the_fields(name, kind):
-    build, _, _, _, fields = CASES[name]
+    build, _, fields = _case(name)
     assert tuple(vars(build(kind))) == fields
 
 
@@ -141,9 +188,9 @@ def test_assignment_and_deletion_raise(name, kind, attribute):
     assert vars(obj) == before
 
 
-@pytest.mark.parametrize("name, kind", PARAMS)
+@pytest.mark.parametrize("name, kind", PARAMS + BUILT_PARAMS)
 def test_pickle_and_copy_round_trip(name, kind):
-    obj = CASES[name][0](kind)
+    obj = _case(name)[0](kind)
     assert pickle.loads(pickle.dumps(obj)) == obj
     assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
 
