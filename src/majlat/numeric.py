@@ -7,14 +7,15 @@ comparisons live here, so every entry point parses alike and the tie
 policy is uniform: a difference within tau counts as zero.
 
 parse_scalar and parse_values read exact values through Fraction, one at
-a time. read_row is the one reader of a row given to core.make_vector or
-to resource_theory.state_to_vector (as amplitudes): it yields the row's
+a time, and plain float text (_PLAIN_FLOAT) by float(). read_row is the one
+reader of a row given to core.make_vector or to
+resource_theory.state_to_vector (as amplitudes): it yields the row's
 entries and their numerators over one common denominator, integers in
 exact mode. A plain exact row of decimal and ratio strings is read in one
-regular-expression match as integer pairs (n, q); any other row value by
-value through parse_scalar. Exact entries are compared and checked as
-integer numerators over one common denominator (read_row, or
-common_scale on parsed rows).
+regular-expression match as integer pairs (n, q), a plain float row by
+float() entry after entry; any other row value by value through
+parse_scalar. Exact entries are compared and checked as integer numerators
+over one common denominator (read_row, or common_scale on parsed rows).
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # non-ASCII digits, exponents, words, "5/0") takes the per-entry route through
 # Fraction, so each Python keeps its own Fraction grammar and errors for them.
 _PLAIN_ROW = re.compile(r"(?:[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|/0*[1-9][0-9]*)?\n)*")
-# A plain float string: a decimal with an optional exponent, whose digits are group 1.
-_PLAIN_FLOAT = re.compile(r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?([0-9]+))?")
+# Plain float text: an unsigned decimal whose exponent has at most 4 digits after its leading
+# zeros, so it is below MAX_DECIMAL_EXPONENT. Signed text and longer exponents go through Fraction.
+_PLAIN_FLOAT = re.compile(r"\+?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?0*[0-9]{1,4})?")
 
 
 def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar, Iterable[Scalar], Iterable[Scalar]]:
@@ -51,18 +53,24 @@ def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar
 
     Float entries are their own numerators over one = 1.0. Exact numerators
     are the integers n * (one // q) over the lcm one of the denominators q,
-    yielded lazily as by common_scale. Each exact entry is built once: from
-    the pairs of a row _plain_pairs reads, lazily, or by parse_scalar, with
-    its errors, for a row _plain_pairs declines.
+    yielded lazily as by common_scale. Each entry is built once: from the
+    pairs of an exact row _plain_pairs reads, lazily, by _plain_float for a
+    float row it reads whole, or by parse_scalar, with its errors, for a row
+    either declines.
     """
     exact, tol = resolve_mode(values, tol)
-    pairs = _plain_pairs(values) if exact else None
-    if pairs is None:
-        entries = tuple(parse_scalar(v, exact) for v in values)
-        one, (numerators,) = common_scale((entries,), tol)
-        return tol, one, numerators, entries
-    one = math.lcm(*[q for _, q in pairs])
-    return tol, one, (n * (one // q) for n, q in pairs), starmap(Fraction, pairs)
+    if exact:
+        pairs = _plain_pairs(values)
+        if pairs is not None:
+            one = math.lcm(*[q for _, q in pairs])
+            return tol, one, (n * (one // q) for n, q in pairs), starmap(Fraction, pairs)
+    else:
+        entries = tuple(map(_plain_float, values))
+        if None not in entries:
+            return tol, 1.0, entries, entries
+    entries = tuple(parse_scalar(v, exact) for v in values)
+    one, (numerators,) = common_scale((entries,), tol)
+    return tol, one, numerators, entries
 
 
 def _plain_pairs(values: Sequence[object]) -> list[tuple[int, int]] | None:
@@ -98,27 +106,20 @@ def _plain_pairs(values: Sequence[object]) -> list[tuple[int, int]] | None:
     return pairs
 
 
-def _plain_float(text: str) -> float | None:
-    """text read by float() when it is a plain ASCII decimal, else None.
+def _plain_float(value: object) -> float | None:
+    """value read by float() when it is exactly a str matching _PLAIN_FLOAT, else None.
 
-    None past the int-to-text digit limit, where Fraction(text) raises but
-    float(text) does not, for an exponent above MAX_DECIMAL_EXPONENT, a
-    negative zero and an overflow, which the Fraction route reports or
-    rounds its own way: it gives 0.0 for a zero value ("-0") but -0.0 for a
-    negative value that underflows, and raises OverflowError where float()
-    gives inf.
+    None past the int-to-text digit limit, where Fraction(value) raises but
+    float(value) does not, and for an overflow to inf, where the Fraction
+    route raises OverflowError.
     """
+    if type(value) is not str or _PLAIN_FLOAT.fullmatch(value) is None:
+        return None
     limit = sys.get_int_max_str_digits()
-    if limit and len(text) > limit:
+    if limit and len(value) > limit:
         return None
-    found = _PLAIN_FLOAT.fullmatch(text)
-    if found is None:
-        return None
-    digits = (found.group(1) or "").lstrip("0")
-    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or digits and int(digits) > MAX_DECIMAL_EXPONENT:
-        return None
-    x = float(text)
-    return None if x == 0 and text[0] == "-" or math.isinf(x) else x
+    x = float(value)
+    return None if math.isinf(x) else x
 
 
 def parse_scalar(value: object, exact: bool) -> Scalar:
@@ -130,14 +131,13 @@ def parse_scalar(value: object, exact: bool) -> Scalar:
     Float mode accepts finite values only. In both modes a string's
     decimal exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude.
 
-    In float mode, a plain ASCII decimal within the int-to-text digit
-    limit, with or without an exponent, is tried first and read by
-    float(), which rounds correctly to the same value as float(Fraction(s)).
-    Every other value, every string _plain_float declines and every exact
-    value goes through Fraction, so both routes accept the same strings
-    and give equal values.
+    In float mode, plain float text is tried first and read by float(),
+    which rounds correctly to the same value as float(Fraction(s)). Every
+    other value, every string _plain_float declines and every exact value
+    goes through Fraction, so both routes accept the same strings and give
+    equal values.
     """
-    if not exact and isinstance(value, str) and (x := _plain_float(value)) is not None:
+    if not exact and (x := _plain_float(value)) is not None:
         return x
     if isinstance(value, bool):
         raise ParseError(f"not a scalar: {value!r}")

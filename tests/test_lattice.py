@@ -39,7 +39,7 @@ from majlat.core import MajOrdering
 from majlat.lattice import _flatten, _upper_envelope
 from majlat.numeric import cumulative_sums
 
-from .oracles import chord_envelope, grid_vectors, random_grid_vector
+from .oracles import chord_envelope, grid_vectors, random_grid_vector, reference_upper_envelope
 from .strategies import monotone_profiles, vector_families, vector_pairs, vector_triples, vectors
 
 FIG_X = ["0.6", "0.16", "0.16", "0.08"]
@@ -150,24 +150,29 @@ class TestFlatten:
 
 
 class TestUpperEnvelope:
+    """The examples hold for the library's envelope and for the reference copy in oracles.py."""
+
+    ENVELOPES = (_upper_envelope, reference_upper_envelope)
+
     def test_known_envelope(self):
-        envelope = _upper_envelope(exact("0", "0.48", "0.68", "0.9", "1"), 0.0)
-        assert envelope[2] == Fraction(69, 100)
+        for envelope in self.ENVELOPES:
+            assert envelope(exact("0", "0.48", "0.68", "0.9", "1"), 0.0)[2] == Fraction(69, 100)
 
     def test_strictly_concave_input_untouched(self):
-        envelope = _upper_envelope(exact("0", "0.5", "0.8", "1"), 0.0)
-        assert envelope == (0, Fraction(1, 2), Fraction(4, 5), 1)
+        for envelope in self.ENVELOPES:
+            assert envelope(exact("0", "0.5", "0.8", "1"), 0.0) == (0, Fraction(1, 2), Fraction(4, 5), 1)
 
     def test_collinear_run_skips_interior_points(self):
         # the last-maximum-slope rule jumps over collinear points; the
         # interpolation still reproduces them on concave input
-        envelope = _upper_envelope(exact(0, "1/4", "1/2", "3/4", 1), 0.0)
-        assert envelope == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+        for envelope in self.ENVELOPES:
+            assert envelope(exact(0, "1/4", "1/2", "3/4", 1), 0.0) == (
+                0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
 
     def test_plateau_with_tie_free_max_slope(self):
-        envelope = _upper_envelope(exact(0, "0.5", "0.5", "0.5", "1"), 0.0)
-        assert curve_to_vector(envelope).entries == (
-            Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
+        for envelope in self.ENVELOPES:
+            assert curve_to_vector(envelope(exact(0, "0.5", "0.5", "0.5", "1"), 0.0)).entries == (
+                Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
 
     @given(monotone_profiles())
     def test_matches_chord_oracle(self, values):

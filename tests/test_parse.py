@@ -1,10 +1,11 @@
 """Parsing, entry checks and canonical text against the Fraction-only references in oracles.py.
 
-parse_scalar reads plain ASCII decimals directly in float mode and sends
+parse_scalar reads plain unsigned ASCII decimals directly in float mode and sends
 every other value through Fraction, and parse_values calls it on each value.
 make_vector reads every row through read_row, as numerators over one common
-denominator: a plain exact row whole as integer pairs, any other row one
-entry at a time through parse_scalar, whose Fractions it keeps as entries;
+denominator: a plain exact row whole as integer pairs, a plain float row by
+float() of each entry, any other row one entry at a time through
+parse_scalar, whose Fractions or floats it keeps as entries;
 it normalizes and sorts the numerators and checks them once with
 _check_numerators. That check takes both modes in one pass, exact
 numerators one at a time, so its memory holds one numerator and the total,
@@ -26,7 +27,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from majlat import make_vector, numeric
+from majlat import OrderedProbVector, make_vector, numeric
 from majlat.cli import main
 from majlat.core import _check_numerators
 from majlat.errors import MajlatError, NotNormalizedError
@@ -120,22 +121,47 @@ def test_special_strings_match_fraction_route():
 _LONG = "1" * 4301  # one digit past the int-to-text digit limit
 
 
+class _OwnFloat(str):
+    """Text whose __float__ gives another value; the reference reads the text, through Fraction."""
+
+    def __float__(self):
+        return 0.125
+
+
 @st.composite
 def _rows(draw):
-    """1-70 entries: plain decimals and ratios only, or mixed with ints and
-    Fractions, with entries that decline the row, or with both."""
+    """1-70 entries: plain decimals and ratios only, or plain float text only,
+    either mixed with ints and Fractions, with entries that decline the row,
+    or with both."""
     sign = st.just("") if draw(st.booleans()) else _sign
     digits = st.text("0123456789", min_size=1, max_size=12)
-    ratios = st.builds(lambda s, p, q: f"{s}{p}/{q}", sign, digits, digits)
-    entry = _decimals(sign, digits, exponent=False) | ratios
+    if draw(st.booleans()):
+        plain = _decimals(st.just(""), digits) | st.floats(0, 1).map(repr) | st.sampled_from(["+.5", "5."])
+        entry = plain
+    else:
+        plain = _decimals(sign, digits, exponent=False)
+        entry = plain | st.builds(lambda s, p, q: f"{s}{p}/{q}", sign, digits, digits)
     if draw(st.booleans()):
         entry |= st.integers(-1, 3) | st.fractions(0, 1, max_denominator=100)
     if draw(st.booleans()):
-        entry |= _decimals() | _ratios | _altered() | st.sampled_from([*_SPECIAL, _LONG, "0.\n5", "1\n"])
+        entry |= (_decimals() | _ratios | _altered() | st.builds(_OwnFloat, plain)
+                  | st.sampled_from([*_SPECIAL, _LONG, "0.\n5", "1\n", "5e-00010000", "1.5E+10001"]))
     return draw(st.lists(entry, min_size=1, max_size=70))
 
 
-@given(_rows(), st.sampled_from([None, 0]), st.booleans(), st.booleans())
+def _shown(outcome):
+    """A vector's or parse_values' entries by type and value, each float by repr (so
+    -0.0 is not 0.0), with the tolerance; or an error's class and message."""
+    if isinstance(outcome, OrderedProbVector):
+        entries, tol = outcome.entries, outcome.tol
+    elif isinstance(outcome[0], tuple):
+        entries, tol = outcome
+    else:
+        return outcome
+    return [(type(e), repr(e) if type(e) is float else e) for e in entries], tol
+
+
+@given(_rows(), st.sampled_from([None, 0, 1e-12]), st.booleans(), st.booleans())
 @example(["1/3", "0.5", "1/6"], None, False, False)  # a rise, found over the lcm 30 of 3, 10 and 6
 @example(["1/3", "0.5", "1/6"], None, True, False)
 @example(["1/3", "0.5", "1/6"], 0, False, True)
@@ -152,18 +178,23 @@ def _rows(draw):
 @example(["0", "0/3", "0.0"], None, False, True)  # cannot normalize: Fraction(0, 1)
 @example(["-1/2", "0.25"], 0, True, True)  # cannot normalize: Fraction(-1, 4)
 @example(["0.9", "1e-1"], None, True, False)  # an exponent declines the whole row, read entry by entry
+@example(["+.5", "5.", "0.5e-9999"], 1e-12, False, True)  # a plain float row, read whole
+@example(["1", "-0"], 1e-12, False, False)  # the sign declines the row: 0.0, as Fraction gives
+@example(["1", "-1e-400"], 1e-12, False, False)  # -0.0, as Fraction gives
+@example(["0.5", "0.5", "-0.000"], 1e-12, True, False)  # sorted, with the 0.0 Fraction gives last
+@example(["1", "1e400"], 1e-12, False, False)  # float() gives inf; Fraction overflows
+@example(["1", "1e" + "0" * 20 + "10000"], 1e-12, False, False)  # 10**10000, a five-digit exponent
+@example(["1", "1e-10001"], 1e-12, False, False)  # past MAX_DECIMAL_EXPONENT
+@example(["1" * 3000 + "." + "1" * 3000, "1"], 1e-12, False, True)  # past the digit limit
+@example(["0.75", _OwnFloat("0.25")], 1e-12, False, False)  # read as 0.25, not by its __float__
 def test_rows_match_per_entry_route(row, tol, sort, normalize):
-    """make_vector and parse_values on a whole row: the same vector or entries, all
-    Fractions, or the same error as parsing and checking one entry at a time."""
+    """make_vector and parse_values on a whole row: the same vector or entries,
+    Fractions or floats of the same repr, or the same error as parsing and
+    checking one entry at a time."""
     got = _outcome(make_vector, row, tol=tol, sort=sort, normalize=normalize)
     want = _outcome(reference_make_vector, row, tol=tol, sort=sort, normalize=normalize)
-    assert got == want
-    if not isinstance(want, tuple):
-        assert all(type(e) is Fraction for e in got.entries)
-    got = _outcome(parse_values, row, None)
-    assert got == _outcome(reference_parse_values, row, None)
-    if isinstance(got[0], tuple):
-        assert all(type(e) is Fraction for e in got[0])
+    assert _shown(got) == _shown(want)
+    assert _shown(_outcome(parse_values, row, tol)) == _shown(_outcome(reference_parse_values, row, tol))
 
 
 # The primes below 1020: every entry of a d = 64 vector over them has its own
