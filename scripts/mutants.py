@@ -68,8 +68,9 @@ MUTANTS = [
     # The plain float reader and the canonical text of a value.
     ("padded scale", "numeric.py", [("scale = max(twos, fives)", "scale = max(twos, fives) + 1")],
      ["tests/test_parse.py::test_scalar_str_matches_fraction_route"]),
-    ("plain float exponents of five digits", "numeric.py", [("0*[0-9]{1,4})?", "0*[0-9]{1,5})?")], [SPECIAL]),
-    ("signed plain floats", "numeric.py", [('r"\\+?(?=', 'r"[-+]?(?=')], [SPECIAL]),
+    ("plain float exponents of five digits", "numeric.py",
+     [("{len(str(MAX_DECIMAL_EXPONENT)) - 1}", "{len(str(MAX_DECIMAL_EXPONENT))}")], [SPECIAL]),
+    ("signed zeros read as plain floats", "numeric.py", [('rf"(?:\\+|-(?=[0-9.]*[1-9]))?', 'rf"[-+]?')], [SPECIAL]),
     ("plain floats overflow to inf", "numeric.py", [("return None if math.isinf(x) else x", "return x")], [SPECIAL]),
     ("str subclasses read as plain floats", "numeric.py",
      [("if type(value) is not str or _PLAIN_FLOAT", "if not isinstance(value, str) or _PLAIN_FLOAT")], [ROWS]),
@@ -86,13 +87,11 @@ MUTANTS = [
     ("make_vector sorts ascending", "core.py",
      [("numerators = sorted(numerators, reverse=True)", "numerators = sorted(numerators)")], [ROWS]),
     ("read_row reads plain float rows as exact pairs", "numeric.py",
-     [("    if exact:\n        pairs = _plain_pairs(values)", "    if True:\n        pairs = _plain_pairs(values)")],
+     [("pairs = _plain_pairs(values) if exact else None", "pairs = _plain_pairs(values)")],
      ["tests/test_parse.py::test_float_mode_signed_zero"]),
-    ("read_row reads a float row holding a declined entry whole", "numeric.py",
-     [("if None not in entries:", "if None not in entries[:1]:")], [ROWS]),
     ("read_row rebuilds a declined row's entries from its pairs", "numeric.py",
-     [("    return tol, one, numerators, entries\n",
-       "    return tol, one, numerators, tuple(Fraction(e.numerator, e.denominator) for e in entries) "
+     [("        return tol, one, numerators, entries\n",
+       "        return tol, one, numerators, tuple(Fraction(e.numerator, e.denominator) for e in entries) "
        "if exact else entries\n")],
      ["tests/test_parse.py::test_declined_row_keeps_parsed_entries"]),
     ("make_vector's numerators unchecked", "core.py",

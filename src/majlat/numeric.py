@@ -12,10 +12,10 @@ reader of a row given to core.make_vector or to
 resource_theory.state_to_vector (as amplitudes): it yields the row's
 entries and their numerators over one common denominator, integers in
 exact mode. A plain exact row of decimal and ratio strings is read in one
-regular-expression match as integer pairs (n, q), a plain float row by
-float() entry after entry; any other row value by value through
-parse_scalar. Exact entries are compared and checked as integer numerators
-over one common denominator (read_row, or common_scale on parsed rows).
+regular-expression match as integer pairs (n, q); any other row value by
+value through parse_scalar. Exact entries are compared and checked as
+integer numerators over one common denominator (read_row, or
+common_scale on parsed rows).
 """
 
 from __future__ import annotations
@@ -43,9 +43,13 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # non-ASCII digits, exponents, words, "5/0") takes the per-entry route through
 # Fraction, so each Python keeps its own Fraction grammar and errors for them.
 _PLAIN_ROW = re.compile(r"(?:[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|/0*[1-9][0-9]*)?\n)*")
-# Plain float text: an unsigned decimal whose exponent has at most 4 digits after its leading
-# zeros, so it is below MAX_DECIMAL_EXPONENT. Signed text and longer exponents go through Fraction.
-_PLAIN_FLOAT = re.compile(r"\+?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?0*[0-9]{1,4})?")
+# Plain float text: an ASCII decimal whose exponent has fewer digits after its leading zeros than
+# MAX_DECIMAL_EXPONENT. A minus sign needs a nonzero mantissa digit: Fraction gives 0.0 for "-0",
+# where float() gives -0.0. Such zeros and longer exponents go through Fraction.
+_PLAIN_FLOAT = re.compile(
+    rf"(?:\+|-(?=[0-9.]*[1-9]))?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?"
+    rf"(?:[eE][-+]?0*[0-9]{{1,{len(str(MAX_DECIMAL_EXPONENT)) - 1}}})?"
+)
 
 
 def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar, Iterable[Scalar], Iterable[Scalar]]:
@@ -53,24 +57,18 @@ def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar
 
     Float entries are their own numerators over one = 1.0. Exact numerators
     are the integers n * (one // q) over the lcm one of the denominators q,
-    yielded lazily as by common_scale. Each entry is built once: from the
-    pairs of an exact row _plain_pairs reads, lazily, by _plain_float for a
-    float row it reads whole, or by parse_scalar, with its errors, for a row
-    either declines.
+    yielded lazily as by common_scale. Each exact entry is built once: from
+    the pairs of a row _plain_pairs reads, lazily, or by parse_scalar, with
+    its errors, for a row _plain_pairs declines.
     """
     exact, tol = resolve_mode(values, tol)
-    if exact:
-        pairs = _plain_pairs(values)
-        if pairs is not None:
-            one = math.lcm(*[q for _, q in pairs])
-            return tol, one, (n * (one // q) for n, q in pairs), starmap(Fraction, pairs)
-    else:
-        entries = tuple(map(_plain_float, values))
-        if None not in entries:
-            return tol, 1.0, entries, entries
-    entries = tuple(parse_scalar(v, exact) for v in values)
-    one, (numerators,) = common_scale((entries,), tol)
-    return tol, one, numerators, entries
+    pairs = _plain_pairs(values) if exact else None
+    if pairs is None:
+        entries = tuple(parse_scalar(v, exact) for v in values)
+        one, (numerators,) = common_scale((entries,), tol)
+        return tol, one, numerators, entries
+    one = math.lcm(*[q for _, q in pairs])
+    return tol, one, (n * (one // q) for n, q in pairs), starmap(Fraction, pairs)
 
 
 def _plain_pairs(values: Sequence[object]) -> list[tuple[int, int]] | None:

@@ -222,6 +222,7 @@ def _as_float(a):
 @example(("amplitudes", ["3/5", "4/5"], ResourceTheory.COHERENCE))
 @example(("amplitudes", ["0.6", ("0", "0.8")], ResourceTheory.ENTANGLEMENT))
 @example(("amplitudes", ["1/2", "-1/2", "1/2", "1/2"], ResourceTheory.COHERENCE))
+@example(("amplitudes", ["-0.6", ("-0", "-0.8")], ResourceTheory.COHERENCE))  # signed float text
 @example(("amplitudes", ["1"], ResourceTheory.COHERENCE))
 @example(("amplitudes", ["1/2", "1/2"], ResourceTheory.COHERENCE))  # not normalized
 @example(("spectrum", ["1/4", "1/2", "1/4"], ResourceTheory.PURITY))  # not sorted
@@ -233,6 +234,7 @@ def _as_float(a):
 def test_state_to_vector_matches_reference(state):
     field, data, theory = state
     for spec, tol in ((StateSpec(**{field: tuple(data)}), None),
+                      (StateSpec(**{field: tuple(data)}), 1e-12),
                       (StateSpec(**{field: tuple(map(_as_float, data))}), 1e-12)):
         got = _outcome(state_to_vector, spec, theory, tol=tol)
         want = _outcome(reference_state_to_vector, spec, theory, tol=tol)

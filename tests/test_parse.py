@@ -1,11 +1,11 @@
 """Parsing, entry checks and canonical text against the Fraction-only references in oracles.py.
 
-parse_scalar reads plain unsigned ASCII decimals directly in float mode and sends
-every other value through Fraction, and parse_values calls it on each value.
-make_vector reads every row through read_row, as numerators over one common
-denominator: a plain exact row whole as integer pairs, a plain float row by
-float() of each entry, any other row one entry at a time through
-parse_scalar, whose Fractions or floats it keeps as entries;
+parse_scalar reads plain ASCII decimals directly in float mode (a minus sign only
+before a nonzero mantissa) and sends every other value through Fraction, and
+parse_values calls it on each value. make_vector reads every row through
+read_row, as numerators over one common denominator: a plain exact row whole
+as integer pairs, any other row one entry at a time through parse_scalar,
+whose Fractions or floats it keeps as entries;
 it normalizes and sorts the numerators and checks them once with
 _check_numerators. That check takes both modes in one pass, exact
 numerators one at a time, so its memory holds one numerator and the total,
@@ -74,6 +74,7 @@ def _altered(draw):
 
 _SPECIAL = [
     "-0", "-0.0", "-.0", "-0.", "+0", "-0e5", "-0/7", "-00.000", "-1e-400", "1e-400", "-5e-324",
+    "-0.5", "-.5e-3", "-00.0010", "-0e-0001", "-.0e9", "-0.0e-0", "-1.e-9999", "-9e9999",
     "1e400", "-1e400", "1.7976931348623157e308", "1.7976931348623159e308",
     "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "infinity", "+INF",
     "1 /2", "1/ 2", " 1/2 ", "1\t/2", "1_0.5", "1_0/3", "1e1_0", "1__0", "_1", "1_",
@@ -136,7 +137,7 @@ def _rows(draw):
     sign = st.just("") if draw(st.booleans()) else _sign
     digits = st.text("0123456789", min_size=1, max_size=12)
     if draw(st.booleans()):
-        plain = _decimals(st.just(""), digits) | st.floats(0, 1).map(repr) | st.sampled_from(["+.5", "5."])
+        plain = _decimals(sign, digits) | st.floats(0, 1).map(repr) | st.sampled_from(["+.5", "5.", "-.5"])
         entry = plain
     else:
         plain = _decimals(sign, digits, exponent=False)
@@ -178,8 +179,9 @@ def _shown(outcome):
 @example(["0", "0/3", "0.0"], None, False, True)  # cannot normalize: Fraction(0, 1)
 @example(["-1/2", "0.25"], 0, True, True)  # cannot normalize: Fraction(-1, 4)
 @example(["0.9", "1e-1"], None, True, False)  # an exponent declines the whole row, read entry by entry
-@example(["+.5", "5.", "0.5e-9999"], 1e-12, False, True)  # a plain float row, read whole
-@example(["1", "-0"], 1e-12, False, False)  # the sign declines the row: 0.0, as Fraction gives
+@example(["+.5", "5.", "0.5e-9999"], 1e-12, False, True)  # plain float text, read by float()
+@example(["1", "-0"], 1e-12, False, False)  # a signed zero takes the Fraction route: 0.0
+@example(["1.5", "-0.5"], 1e-12, False, False)  # a signed nonzero is plain: -0.5 is negative
 @example(["1", "-1e-400"], 1e-12, False, False)  # -0.0, as Fraction gives
 @example(["0.5", "0.5", "-0.000"], 1e-12, True, False)  # sorted, with the 0.0 Fraction gives last
 @example(["1", "1e400"], 1e-12, False, False)  # float() gives inf; Fraction overflows
