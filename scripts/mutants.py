@@ -31,6 +31,7 @@ CHECKS = "tests/test_parse.py::test_entry_check_matches_fraction_checks"
 ROWS = "tests/test_parse.py::test_rows_match_per_entry_route"
 KERNELS = "tests/test_kernels.py"
 SPECIAL = "tests/test_parse.py::test_special_strings_match_fraction_route"
+SOLVE = "tests/test_polytope.py::TestBallVertices::test_solve_square_matches_reference"
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
@@ -51,6 +52,12 @@ MUTANTS = [
     ("_feasible without the entry check", "polytope.py",
      [("        _check_numerators(numerators, one, tol, len(x))\n", "        pass\n")],
      ["tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"]),
+    # The fraction-free elimination of ball vertex listing (numeric.solve_square).
+    ("last step without * one", "numeric.py",
+     [("Fraction(row[n], row[i] * one)", "Fraction(row[n], row[i])")], [SOLVE]),
+    ("pivot searched from row 0", "numeric.py",
+     [("for r in range(col, n) if aug[r][col]", "for r in range(n) if aug[r][col]")], [SOLVE]),
+    ("rows not scaled by the pivot", "numeric.py", [("pv * v - f * w", "v - f * w")], [SOLVE]),
     # The exact kernels on integer numerators over one common denominator.
     ("unscale as v / one", "numeric.py",
      [("tuple(Fraction(v, one) for v in values)", "tuple(v / one for v in values)")], [KERNELS]),

@@ -286,37 +286,29 @@ def scalar_str(value: Scalar) -> str:
     return f"{sign}{text[:-scale]}.{text[-scale:]}"
 
 
-def solve_square(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar], tol: float) -> list[Scalar] | None:
-    """Solve a square linear system in the type of rhs[0]; None when no unique solution exists.
+def solve_square(matrix: Sequence[Sequence[int]], rhs: Sequence[Scalar], tol: float) -> list[Scalar] | None:
+    """Solve a square integer system with rhs in either mode; None when no unique solution exists.
 
-    Exact mode (tol == 0) pivots on the first nonzero entry and stays in
-    rationals; float mode partial-pivots and treats magnitudes <= tol as
-    zero.
+    One fraction-free Gauss-Jordan pass: rhs enters as common_scale gives
+    it, integer numerators over one or floats; the pivot is the first
+    nonzero integer in its column, so singularity is decided exactly; each
+    other row becomes pivot * row - factor * pivot_row. Each unknown is one
+    division at the end: Fraction(b, a_ii * one), or b / a_ii in floats.
     """
     n = len(matrix)
-    kind = type(rhs[0])
-    aug = [[kind(v) for v in row] + [kind(rhs[i])] for i, row in enumerate(matrix)]
+    one, (b,) = common_scale((rhs,), tol)
+    aug = [[*row, v] for row, v in zip(matrix, b)]
     for col in range(n):
-        pivot_row = None
-        if tol == 0:
-            for r in range(col, n):
-                if aug[r][col] != 0:
-                    pivot_row = r
-                    break
-        else:
-            best = tol
-            for r in range(col, n):
-                mag = abs(aug[r][col])
-                if mag > best:
-                    best = mag
-                    pivot_row = r
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
             return None
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        pivot = aug[col]
+        pv = pivot[col]
+        for r, row in enumerate(aug):
+            f = row[col]
+            if f and r != col:
+                aug[r] = [pv * v - f * w for v, w in zip(row, pivot)]
+    if tol:
+        return [row[n] / row[i] for i, row in enumerate(aug)]
+    return [Fraction(row[n], row[i] * one) for i, row in enumerate(aug)]

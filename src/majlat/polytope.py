@@ -95,7 +95,9 @@ def ball_vertices(ball: Ball) -> Polytope:
     radius. Each candidate passes one check, _feasible: the ball's l1
     test, then core._check_numerators, the vector rule make_vector checks. So
     the kept vertices and their Polytope are built trusted, deduplicated
-    and sorted as Polytope does it. Exact mode stays entirely in rationals.
+    and sorted as Polytope does it. Every matrix has entries -1, 0 and 1;
+    numeric.solve_square eliminates on its integers in both modes, so both
+    modes find the same systems singular, and exact vertices stay exact.
 
     The sweep solves (2^d - 2) * C(2d, d - 2) systems; the README gives
     their counts and measured times per d.

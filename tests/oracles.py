@@ -5,8 +5,9 @@ majorant, full grid enumeration for optimality, plain sums for distances,
 Fraction's own string grammar for parsing entries one at a time and
 building vectors from them, Fraction arithmetic for the canonical text of
 a value, the entry checks, the lattice kernels (with their own copy of the
-upper envelope) and the squared moduli, and a ball test with its own copy
-of the entry checks.
+upper envelope) and the squared moduli, a ball test with its own copy
+of the entry checks, and Gauss-Jordan on Fractions for the square systems
+of ball vertex listing.
 """
 
 import math
@@ -140,6 +141,40 @@ def reference_feasible(x, x0, eps, tol):
         and all(geq(e, zero, tol) for e in x)
         and eq(sum(x), zero + 1, tol * d)
     )
+
+
+def reference_solve_square(matrix, rhs, tol):
+    """numeric.solve_square as it was before it eliminated on integers: Gauss-Jordan
+    in the type of rhs[0], with each pivot row normalized. Exact mode pivots on the
+    first nonzero entry; float mode partial-pivots and treats magnitudes <= tol as
+    zero. None when no unique solution exists."""
+    n = len(matrix)
+    kind = type(rhs[0])
+    aug = [[kind(v) for v in row] + [kind(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = None
+        if tol == 0:
+            for r in range(col, n):
+                if aug[r][col] != 0:
+                    pivot_row = r
+                    break
+        else:
+            best = tol
+            for r in range(col, n):
+                mag = abs(aug[r][col])
+                if mag > best:
+                    best = mag
+                    pivot_row = r
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [v / pivot for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
 
 
 # The lattice kernels, compare and state_to_vector as they were before exact

@@ -22,9 +22,11 @@ from majlat import (
     steepest_approx,
 )
 
+from majlat import polytope
+from majlat.numeric import solve_square
 from majlat.polytope import _candidates, _feasible
 
-from .oracles import convex_mix, l1_distance, random_grid_vector, reference_feasible
+from .oracles import convex_mix, l1_distance, random_grid_vector, reference_feasible, reference_solve_square
 from .strategies import vector_families, vectors
 
 CENTER = ["0.525", "0.35", "0.125"]
@@ -134,7 +136,7 @@ class TestBallVertices:
 
     def test_float_listing_matches_exact_listing(self):
         rng = random.Random(59)
-        for d in (1, 2, 3, 4) * 10:
+        for d in (1, 2, 3, 4) * 10 + (5,) * 3:
             center = random_grid_vector(rng, d, 40)
             radius = Fraction(rng.randint(1, 40), 40)
             exact = ball_vertices(Ball(center, radius)).vertices
@@ -158,6 +160,39 @@ class TestBallVertices:
                 want = reference_feasible(c, x0, radius, tol)
                 assert _feasible(c, x0, radius, tol) == want
                 outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_solve_square_matches_reference(self, mode, monkeypatch):
+        """Every system _candidates builds for seeded balls, and random singular
+        systems: exact solutions equal, float ones within d * tol, None together."""
+        rng = random.Random(71)
+        systems = []
+        monkeypatch.setattr(polytope, "solve_square", lambda *system: systems.append(system))
+        for d in (2, 3, 4, 5) * 2:
+            center = random_grid_vector(rng, d, 40)
+            radius = Fraction(rng.randint(1, 40), 40)
+            if mode == "float":
+                center, radius = center.to_float(), float(radius)
+            list(_candidates(center.entries, radius, center.tol))
+        tol = 0 if mode == "exact" else 1e-12
+        singular = []
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n - 1)]
+            a, b, s, t = rng.randrange(n - 1), rng.randrange(n - 1), rng.randint(-1, 1), rng.randint(-1, 1)
+            rows.insert(rng.randint(0, n - 1), [s * u + t * v for u, v in zip(rows[a], rows[b])])
+            rhs = [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(n)]
+            singular.append((rows, rhs if tol == 0 else [float(v) for v in rhs], tol))
+        outcomes = set()
+        for system in systems + singular:
+            got, want = solve_square(*system), reference_solve_square(*system)
+            outcomes.add(want is None)
+            if got is None or want is None or tol == 0:
+                assert got == want
+            else:
+                assert all(abs(u - v) <= len(got) * tol for u, v in zip(got, want))
+        assert all(solve_square(*system) is None for system in singular)
         assert outcomes == {True, False}
 
     def test_dimension_cap(self):
