@@ -32,6 +32,8 @@ ROWS = "tests/test_parse.py::test_rows_match_per_entry_route"
 KERNELS = "tests/test_kernels.py"
 SPECIAL = "tests/test_parse.py::test_special_strings_match_fraction_route"
 SOLVE = "tests/test_polytope.py::TestBallVertices::test_solve_square_matches_reference"
+FEASIBLE = "tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"
+LISTING = "tests/test_polytope.py::TestBallVertices::test_listing_matches_reference_sweep"
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
@@ -50,11 +52,16 @@ MUTANTS = [
     ("float start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), 0.0)")], [CHECKS]),
     ("-0.0 start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), -0.0)")], [CHECKS]),
     ("_feasible without the entry check", "polytope.py",
-     [("        _check_numerators(numerators, one, tol, len(x))\n", "        pass\n")],
-     ["tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"]),
+     [("        _check_numerators(x, q, tol, len(x))\n", "        pass\n")], [FEASIBLE]),
+    # Ball listing on numerators: the center and radius over one, each candidate over its q.
+    ("l1 test without * one", "polytope.py", [("abs(u * one - v * q)", "abs(u - v * q)")], [FEASIBLE]),
+    ("l1 test without * q", "polytope.py", [("abs(u * one - v * q)", "abs(u * one - v)")], [FEASIBLE]),
+    ("radius left off the sign row", "polytope.py",
+     [("rhs_ball = eps + sum(", "rhs_ball = sum(")], [LISTING]),
     # The fraction-free elimination of ball vertex listing (numeric.solve_square).
-    ("last step without * one", "numeric.py",
-     [("Fraction(row[n], row[i] * one)", "Fraction(row[n], row[i])")], [SOLVE]),
+    ("q without the one factor", "numeric.py", [("return one * lcm, ", "return lcm, ")], [SOLVE]),
+    ("numerators over |a_ii|", "numeric.py",
+     [("row[n] * (lcm // row[i])", "row[n] * (lcm // abs(row[i]))")], [SOLVE]),
     ("pivot searched from row 0", "numeric.py",
      [("for r in range(col, n) if aug[r][col]", "for r in range(n) if aug[r][col]")], [SOLVE]),
     ("rows not scaled by the pivot", "numeric.py", [("pv * v - f * w", "v - f * w")], [SOLVE]),

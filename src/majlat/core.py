@@ -154,10 +154,10 @@ class LorenzCurve(_Frozen):
 def _check_numerators(values: Iterable[Scalar], one: Scalar, tol: float, d: int) -> None:
     """The vector rule on d entries given as numerators over one.
 
-    make_vector checks every row here, ball listing every candidate over
-    numeric.common_scale. Float entries are their own numerators over 1.0;
-    exact ones are taken one at a time, so memory holds one numerator and
-    the total. Any negative entry is reported first, then the first rise
+    make_vector checks every row here, ball listing each candidate over its
+    q from numeric.solve_square. Float entries are their own numerators over
+    1.0; exact ones are taken one at a time, so memory holds one numerator
+    and the total. Any negative entry is reported first, then the first rise
     by more than tol, then a sum more than tol * d away from one. An exact
     entry is shown as Fraction(n, one). sum() takes the total, so a float
     total rounds as sum(entries) does on every Python (3.12 changed that).

@@ -286,18 +286,18 @@ def scalar_str(value: Scalar) -> str:
     return f"{sign}{text[:-scale]}.{text[-scale:]}"
 
 
-def solve_square(matrix: Sequence[Sequence[int]], rhs: Sequence[Scalar], tol: float) -> list[Scalar] | None:
-    """Solve a square integer system with rhs in either mode; None when no unique solution exists.
+def solve_square(matrix: Sequence[Sequence[int]], rhs: list, one: Scalar, tol: float) -> tuple[Scalar, list] | None:
+    """(q, numerators over q) solving a square integer system whose rhs holds numerators
+    over one (floats over 1.0 in float mode); None when no unique solution exists.
 
-    One fraction-free Gauss-Jordan pass: rhs enters as common_scale gives
-    it, integer numerators over one or floats; the pivot is the first
-    nonzero integer in its column, so singularity is decided exactly; each
-    other row becomes pivot * row - factor * pivot_row. Each unknown is one
-    division at the end: Fraction(b, a_ii * one), or b / a_ii in floats.
+    One fraction-free Gauss-Jordan pass: the pivot is the first nonzero
+    integer in its column, so singularity is decided exactly; each other
+    row becomes pivot * row - factor * pivot_row. Exact mode brings each
+    b_i / a_ii to q = one * lcm(|a_ii|) as the integer b_i * (lcm // a_ii);
+    float mode divides, over q = 1.0.
     """
     n = len(matrix)
-    one, (b,) = common_scale((rhs,), tol)
-    aug = [[*row, v] for row, v in zip(matrix, b)]
+    aug = [[*row, v] for row, v in zip(matrix, rhs)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
@@ -310,5 +310,6 @@ def solve_square(matrix: Sequence[Sequence[int]], rhs: Sequence[Scalar], tol: fl
             if f and r != col:
                 aug[r] = [pv * v - f * w for v, w in zip(row, pivot)]
     if tol:
-        return [row[n] / row[i] for i, row in enumerate(aug)]
-    return [Fraction(row[n], row[i] * one) for i, row in enumerate(aug)]
+        return one, [row[n] / row[i] for i, row in enumerate(aug)]
+    lcm = math.lcm(*[row[i] for i, row in enumerate(aug)])
+    return one * lcm, [row[n] * (lcm // row[i]) for i, row in enumerate(aug)]

@@ -25,13 +25,9 @@ from .errors import (
     NotSortedError,
 )
 from .lattice import _members, family_inf, family_sup
-from .numeric import Scalar, common_scale, leq, parse_scalar, shown, solve_square
+from .numeric import Scalar, common_scale, leq, parse_scalar, shown, solve_square, unscale
 
 MAX_DIMENSION = 10  # vertex listing cost explodes beyond this; the bounds need no cap
-
-
-def _l1(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    return sum(abs(u - v) for u, v in zip(a, b))
 
 
 class Polytope(_Frozen):
@@ -92,12 +88,13 @@ def ball_vertices(ball: Ball) -> Polytope:
     tight l1 facets at one point are equivalent to one facet plus
     coordinate ties, so the sweep reaches every vertex; constant sign
     patterns are pruned because they are never tight for a positive
-    radius. Each candidate passes one check, _feasible: the ball's l1
-    test, then core._check_numerators, the vector rule make_vector checks. So
-    the kept vertices and their Polytope are built trusted, deduplicated
-    and sorted as Polytope does it. Every matrix has entries -1, 0 and 1;
-    numeric.solve_square eliminates on its integers in both modes, so both
-    modes find the same systems singular, and exact vertices stay exact.
+    radius. The sweep runs on numerators, integers in exact mode: the
+    center and radius over one (scaled once), each candidate over its own
+    q from numeric.solve_square. Each passes one check, _feasible: the l1
+    test, then core._check_numerators, the vector rule make_vector checks.
+    Only kept vertices become entries, built trusted, deduplicated and
+    sorted as Polytope does it. Every matrix has entries -1, 0 and 1, so
+    both modes find the same systems singular.
 
     The sweep solves (2^d - 2) * C(2d, d - 2) systems; the README gives
     their counts and measured times per d.
@@ -112,20 +109,22 @@ def ball_vertices(ball: Ball) -> Polytope:
     if _is_point(ball):
         return _trusted(Polytope, vertices=(center,))
     tol = center.tol
+    one, ((*x0, eps),) = common_scale((center.entries + (ball.radius,),), tol)
     kept = [
-        _trusted(OrderedProbVector, entries=c, tol=tol)
-        for c in _candidates(center.entries, ball.radius, tol)
-        if _feasible(c, center.entries, ball.radius, tol)
+        _trusted(OrderedProbVector, entries=unscale(x, q, tol), tol=tol)
+        for q, x in _candidates(x0, eps, one, tol)
+        if _feasible(x, q, x0, eps, one, tol)
     ]
     return _trusted(Polytope, vertices=_canonical(kept, tol))
 
 
-def _candidates(x0: Sequence[Scalar], eps: Scalar, tol: float) -> Iterator[tuple[Scalar, ...]]:
-    """The d simplex corners, then every unique solution of the active-constraint systems."""
+def _candidates(x0: Sequence[Scalar], eps: Scalar, one: Scalar, tol: float) -> Iterator[tuple[Scalar, tuple]]:
+    """(q, numerators over q) of the d simplex corners, then of every unique solution of
+    the active-constraint systems; x0 and eps are numerators over one."""
     d = len(x0)
-    zero = x0[0] * 0
+    zero = one * 0
     for k in range(1, d + 1):
-        yield ((zero + 1) / k,) * k + (zero,) * (d - k)
+        yield (one, (1 / k,) * k + (zero,) * (d - k)) if tol else (k, (1,) * k + (0,) * (d - k))
 
     unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     pool = [(unit[i], x0[i]) for i in range(d)]  # coordinate ties with the center
@@ -136,22 +135,22 @@ def _candidates(x0: Sequence[Scalar], eps: Scalar, tol: float) -> Iterator[tuple
     for signs in itertools.product((1, -1), repeat=d):
         if all(s == 1 for s in signs) or all(s == -1 for s in signs):
             continue
-        rhs_ball = eps + sum(s * c for s, c in zip(signs, x0))
+        rhs_ball = eps + sum(c if s == 1 else -c for s, c in zip(signs, x0))
         for extra in itertools.combinations(pool, d - 2):
             matrix = [ones, signs] + [row for row, _ in extra]
-            rhs = [zero + 1, rhs_ball] + [value for _, value in extra]
-            solution = solve_square(matrix, rhs, tol)
+            rhs = [one, rhs_ball] + [value for _, value in extra]
+            solution = solve_square(matrix, rhs, one, tol)
             if solution is not None:
-                yield tuple(solution)
+                yield solution
 
 
-def _feasible(x: Sequence[Scalar], x0: Sequence[Scalar], eps: Scalar, tol: float) -> bool:
-    """x is in the ball and passes core._check_numerators: sorted, non-negative, unit sum."""
-    if not leq(_l1(x, x0), eps, tol * len(x0)):
+def _feasible(x: Sequence[Scalar], q: Scalar, x0: Sequence[Scalar], eps: Scalar, one: Scalar, tol: float) -> bool:
+    """x over q is in the ball (x0 and eps are over one) and passes core._check_numerators:
+    sorted, non-negative, unit sum."""
+    if not leq(sum(abs(u * one - v * q) for u, v in zip(x, x0)), eps * q, tol * len(x0)):
         return False
-    one, (numerators,) = common_scale((x,), tol)
     try:
-        _check_numerators(numerators, one, tol, len(x))
+        _check_numerators(x, q, tol, len(x))
     except (NegativeEntryError, NotSortedError, NotNormalizedError):
         return False
     return True

@@ -6,14 +6,14 @@ Fraction's own string grammar for parsing entries one at a time and
 building vectors from them, Fraction arithmetic for the canonical text of
 a value, the entry checks, the lattice kernels (with their own copy of the
 upper envelope) and the squared moduli, a ball test with its own copy
-of the entry checks, and Gauss-Jordan on Fractions for the square systems
-of ball vertex listing.
+of the entry checks, Gauss-Jordan on Fractions for the square systems
+of ball vertex listing, and the whole listing sweep on entries.
 """
 
 import math
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, product
 
 from majlat import OrderedProbVector, ResourceTheory, make_vector
 from majlat.core import MajOrdering, _trusted, pair_tolerance
@@ -175,6 +175,36 @@ def reference_solve_square(matrix, rhs, tol):
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def reference_ball_vertices(x0, eps, tol):
+    """polytope.ball_vertices as it was before the listing ran on numerators, as
+    sorted entry tuples: the simplex corners and the sweep of square
+    active-constraint systems on the entries themselves (Fractions or floats),
+    each solved by reference_solve_square and kept if reference_feasible;
+    duplicates within tol per entry dropped. No shortcut for a zero radius."""
+    d = len(x0)
+    zero = x0[0] * 0
+    found = [((zero + 1) / k,) * k + (zero,) * (d - k) for k in range(1, d + 1)]
+    unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    pool = [(unit[i], x0[i]) for i in range(d)]  # coordinate ties with the center
+    pool += [(tuple(a - b for a, b in zip(unit[i], unit[i + 1])), zero) for i in range(d - 1)]  # ordering facets
+    pool.append((unit[-1], zero))  # positivity facet x_d = 0
+    for signs in product((1, -1), repeat=d):
+        if len(set(signs)) == 1:
+            continue
+        rhs_ball = eps + sum(s * c for s, c in zip(signs, x0))
+        for extra in combinations(pool, d - 2):
+            matrix = [[1] * d, signs] + [row for row, _ in extra]
+            solution = reference_solve_square(matrix, [zero + 1, rhs_ball] + [value for _, value in extra], tol)
+            if solution is not None:
+                found.append(tuple(solution))
+    unique = []
+    for x in found:
+        if reference_feasible(x, x0, eps, tol) and not any(
+                all(abs(a - b) <= tol for a, b in zip(x, u)) for u in unique):
+            unique.append(x)
+    return sorted(unique)
 
 
 # The lattice kernels, compare and state_to_vector as they were before exact

@@ -9,12 +9,12 @@ whose Fractions or floats it keeps as entries;
 it normalizes and sorts the numerators and checks them once with
 _check_numerators. That check takes both modes in one pass, exact
 numerators one at a time, so its memory holds one numerator and the total,
-whether make_vector or ball listing (over common_scale) asks it. All must behave
-exactly as the references do: equal values of the same type (the same repr
-in float mode, signed zero included) and the same exception class and
-message. scalar_str works on the numerator and denominator as integers and
-must give the reference's text, or its ValueError past the int-to-text digit
-limit.
+whether make_vector or ball listing (each candidate over its own
+denominator) asks it. All must behave exactly as the references do: equal
+values of the same type (the same repr in float mode, signed zero
+included) and the same exception class and message. scalar_str works on
+the numerator and denominator as integers and must give the reference's
+text, or its ValueError past the int-to-text digit limit.
 """
 
 import json
@@ -249,7 +249,8 @@ def test_entry_check_matches_fraction_checks(entries):
 
 
 def _check_scaled(entries, tol):
-    """The entry check ball listing makes: _check_numerators over common_scale."""
+    """_check_numerators on entries brought over one denominator by common_scale, as
+    make_vector's parsed rows and ball listing's candidates (over their own q) reach it."""
     one, (numerators,) = common_scale((entries,), tol)
     _check_numerators(numerators, one, tol, len(entries))
 

@@ -23,10 +23,17 @@ from majlat import (
 )
 
 from majlat import polytope
-from majlat.numeric import solve_square
+from majlat.numeric import common_scale, solve_square, unscale
 from majlat.polytope import _candidates, _feasible
 
-from .oracles import convex_mix, l1_distance, random_grid_vector, reference_feasible, reference_solve_square
+from .oracles import (
+    convex_mix,
+    l1_distance,
+    random_grid_vector,
+    reference_ball_vertices,
+    reference_feasible,
+    reference_solve_square,
+)
 from .strategies import vector_families, vectors
 
 CENTER = ["0.525", "0.35", "0.125"]
@@ -155,17 +162,20 @@ class TestBallVertices:
             radius = Fraction(rng.randint(1, 40), 40)
             if mode == "float":
                 center, radius = center.to_float(), float(radius)
-            x0, tol = center.entries, center.tol
-            for c in _candidates(x0, radius, tol):
-                want = reference_feasible(c, x0, radius, tol)
-                assert _feasible(c, x0, radius, tol) == want
+            tol = center.tol
+            one, ((*x0, eps),) = common_scale((center.entries + (radius,),), tol)
+            for q, x in _candidates(x0, eps, one, tol):
+                want = reference_feasible(unscale(x, q, tol), center.entries, radius, tol)
+                assert _feasible(x, q, x0, eps, one, tol) == want
                 outcomes.add(want)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_solve_square_matches_reference(self, mode, monkeypatch):
         """Every system _candidates builds for seeded balls, and random singular
-        systems: exact solutions equal, float ones within d * tol, None together."""
+        systems: exact solutions equal, float ones within d * tol, None together.
+        The reference takes the right-hand side as values, Fraction(v, one) in
+        exact mode, and solve_square's (q, numerators) become entries."""
         rng = random.Random(71)
         systems = []
         monkeypatch.setattr(polytope, "solve_square", lambda *system: systems.append(system))
@@ -174,7 +184,8 @@ class TestBallVertices:
             radius = Fraction(rng.randint(1, 40), 40)
             if mode == "float":
                 center, radius = center.to_float(), float(radius)
-            list(_candidates(center.entries, radius, center.tol))
+            one, ((*x0, eps),) = common_scale((center.entries + (radius,),), center.tol)
+            list(_candidates(x0, eps, one, center.tol))
         tol = 0 if mode == "exact" else 1e-12
         singular = []
         for _ in range(200):
@@ -183,10 +194,13 @@ class TestBallVertices:
             a, b, s, t = rng.randrange(n - 1), rng.randrange(n - 1), rng.randint(-1, 1), rng.randint(-1, 1)
             rows.insert(rng.randint(0, n - 1), [s * u + t * v for u, v in zip(rows[a], rows[b])])
             rhs = [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(n)]
-            singular.append((rows, rhs if tol == 0 else [float(v) for v in rhs], tol))
+            one, (numerators,) = common_scale((rhs if tol == 0 else [float(v) for v in rhs],), tol)
+            singular.append((rows, list(numerators), one, tol))
         outcomes = set()
-        for system in systems + singular:
-            got, want = solve_square(*system), reference_solve_square(*system)
+        for matrix, rhs, one, tol in systems + singular:
+            solved = solve_square(matrix, rhs, one, tol)
+            got = None if solved is None else list(unscale(solved[1], solved[0], tol))
+            want = reference_solve_square(matrix, [Fraction(v, one) for v in rhs] if tol == 0 else rhs, tol)
             outcomes.add(want is None)
             if got is None or want is None or tol == 0:
                 assert got == want
@@ -194,6 +208,27 @@ class TestBallVertices:
                 assert all(abs(u - v) <= len(got) * tol for u, v in zip(got, want))
         assert all(solve_square(*system) is None for system in singular)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_listing_matches_reference_sweep(self, mode):
+        """Whole listings for d = 1..5 against the sweep on entries in oracles.py, at
+        radius 0, a small radius and one past the point mass: exact lists identical,
+        float lists equal as sets within d * tol."""
+        rng = random.Random(79)
+        for d in (1, 1, 2, 2, 3, 3, 4, 4, 5):
+            center = random_grid_vector(rng, d, 40)
+            past_point_mass = 2 * (1 - center.entries[0]) + Fraction(rng.randint(1, 6), 40)
+            for radius in (Fraction(0), Fraction(rng.randint(1, 6), 40), past_point_mass):
+                c, r = (center, radius) if mode == "exact" else (center.to_float(), float(radius))
+                got = [v.entries for v in ball_vertices(Ball(c, r)).vertices]
+                want = reference_ball_vertices(c.entries, r, c.tol)
+                if mode == "exact":
+                    assert got == want
+                    continue
+                assert len(got) == len(want)
+                near = lambda v, w: all(abs(a - b) <= d * c.tol for a, b in zip(v, w))
+                assert all(any(near(v, w) for w in want) for v in got)
+                assert all(any(near(v, w) for v in got) for w in want)
 
     def test_dimension_cap(self):
         center = make_vector([Fraction(1, 11)] * 11)
