@@ -34,6 +34,7 @@ SPECIAL = "tests/test_parse.py::test_special_strings_match_fraction_route"
 SOLVE = "tests/test_polytope.py::TestBallVertices::test_solve_square_matches_reference"
 FEASIBLE = "tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"
 LISTING = "tests/test_polytope.py::TestBallVertices::test_listing_matches_reference_sweep"
+FACETS = "tests/test_polytope.py::TestBallVertices::test_listing_matches_facet_enumeration"
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
@@ -57,14 +58,17 @@ MUTANTS = [
     ("l1 test without * one", "polytope.py", [("abs(u * one - v * q)", "abs(u - v * q)")], [FEASIBLE]),
     ("l1 test without * q", "polytope.py", [("abs(u * one - v * q)", "abs(u * one - v)")], [FEASIBLE]),
     ("radius left off the sign row", "polytope.py",
-     [("rhs_ball = eps + sum(", "rhs_ball = sum(")], [LISTING]),
-    # The fraction-free elimination of ball vertex listing (numeric.solve_square).
-    ("q without the one factor", "numeric.py", [("return one * lcm, ", "return lcm, ")], [SOLVE]),
-    ("numerators over |a_ii|", "numeric.py",
+     [("(eps + sum(c if s == 1", "(sum(c if s == 1")], [LISTING]),
+    ("positivity facet left out of the pool", "polytope.py",
+     [("    pool.append(unit[-1] + (zero,))  # positivity facet x_d = 0\n", "")], [FACETS, LISTING]),
+    # The fraction-free elimination of ball vertex listing (polytope.solve_square).
+    ("q without the one factor", "polytope.py", [("return one * lcm, ", "return lcm, ")], [SOLVE]),
+    ("numerators over |a_ii|", "polytope.py",
      [("row[n] * (lcm // row[i])", "row[n] * (lcm // abs(row[i]))")], [SOLVE]),
-    ("pivot searched from row 0", "numeric.py",
-     [("for r in range(col, n) if aug[r][col]", "for r in range(n) if aug[r][col]")], [SOLVE]),
-    ("rows not scaled by the pivot", "numeric.py", [("pv * v - f * w", "v - f * w")], [SOLVE]),
+    ("pivot searched from row 0", "polytope.py", [("for r in range(col, n):", "for r in range(n):")], [SOLVE]),
+    ("rows not scaled by the pivot", "polytope.py", [("pv * v - f * w", "v - f * w")], [SOLVE]),
+    ("singular column not detected", "polytope.py", [("        else:\n            return None\n", "")], [SOLVE]),
+    ("given rows eliminated in place", "polytope.py", [("    rows = list(rows)\n", "")], [SOLVE]),
     # The exact kernels on integer numerators over one common denominator.
     ("unscale as v / one", "numeric.py",
      [("tuple(Fraction(v, one) for v in values)", "tuple(v / one for v in values)")], [KERNELS]),

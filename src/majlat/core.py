@@ -155,7 +155,7 @@ def _check_numerators(values: Iterable[Scalar], one: Scalar, tol: float, d: int)
     """The vector rule on d entries given as numerators over one.
 
     make_vector checks every row here, ball listing each candidate over its
-    q from numeric.solve_square. Float entries are their own numerators over
+    q from polytope.solve_square. Float entries are their own numerators over
     1.0; exact ones are taken one at a time, so memory holds one numerator
     and the total. Any negative entry is reported first, then the first rise
     by more than tol, then a sum more than tol * d away from one. An exact

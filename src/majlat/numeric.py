@@ -284,32 +284,3 @@ def scalar_str(value: Scalar) -> str:
         return sign + str(digits)
     text = str(digits).rjust(scale + 1, "0")
     return f"{sign}{text[:-scale]}.{text[-scale:]}"
-
-
-def solve_square(matrix: Sequence[Sequence[int]], rhs: list, one: Scalar, tol: float) -> tuple[Scalar, list] | None:
-    """(q, numerators over q) solving a square integer system whose rhs holds numerators
-    over one (floats over 1.0 in float mode); None when no unique solution exists.
-
-    One fraction-free Gauss-Jordan pass: the pivot is the first nonzero
-    integer in its column, so singularity is decided exactly; each other
-    row becomes pivot * row - factor * pivot_row. Exact mode brings each
-    b_i / a_ii to q = one * lcm(|a_ii|) as the integer b_i * (lcm // a_ii);
-    float mode divides, over q = 1.0.
-    """
-    n = len(matrix)
-    aug = [[*row, v] for row, v in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col]
-        pv = pivot[col]
-        for r, row in enumerate(aug):
-            f = row[col]
-            if f and r != col:
-                aug[r] = [pv * v - f * w for v, w in zip(row, pivot)]
-    if tol:
-        return one, [row[n] / row[i] for i, row in enumerate(aug)]
-    lcm = math.lcm(*[row[i] for i, row in enumerate(aug)])
-    return one * lcm, [row[n] * (lcm // row[i]) for i, row in enumerate(aug)]

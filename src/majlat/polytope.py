@@ -14,6 +14,7 @@ the whole simplex are the bounds over the ordered simplex.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 from .core import OrderedProbVector, _check_numerators, _Frozen, _trusted, bottom
@@ -25,7 +26,7 @@ from .errors import (
     NotSortedError,
 )
 from .lattice import _members, family_inf, family_sup
-from .numeric import Scalar, common_scale, leq, parse_scalar, shown, solve_square, unscale
+from .numeric import Scalar, common_scale, leq, parse_scalar, shown, unscale
 
 MAX_DIMENSION = 10  # vertex listing cost explodes beyond this; the bounds need no cap
 
@@ -90,8 +91,10 @@ def ball_vertices(ball: Ball) -> Polytope:
     patterns are pruned because they are never tight for a positive
     radius. The sweep runs on numerators, integers in exact mode: the
     center and radius over one (scaled once), each candidate over its own
-    q from numeric.solve_square. Each passes one check, _feasible: the l1
-    test, then core._check_numerators, the vector rule make_vector checks.
+    q from solve_square, which eliminates the augmented rows _candidates
+    builds once per listing or per sign pattern. Each passes one check,
+    _feasible: the l1 test, then core._check_numerators, the vector rule
+    make_vector checks.
     Only kept vertices become entries, built trusted, deduplicated and
     sorted as Polytope does it. Every matrix has entries -1, 0 and 1, so
     both modes find the same systems singular.
@@ -120,28 +123,64 @@ def ball_vertices(ball: Ball) -> Polytope:
 
 def _candidates(x0: Sequence[Scalar], eps: Scalar, one: Scalar, tol: float) -> Iterator[tuple[Scalar, tuple]]:
     """(q, numerators over q) of the d simplex corners, then of every unique solution of
-    the active-constraint systems; x0 and eps are numerators over one."""
+    the active-constraint systems; x0 and eps are numerators over one.
+
+    Rows are built once, augmented with their right-hand side: the sum row
+    per listing, each sign row per sign pattern, and each pool row (a tie
+    with the center, an ordering facet or the positivity facet) per listing.
+    A system is the list [sum row, sign row, *d - 2 pool rows].
+    """
     d = len(x0)
     zero = one * 0
     for k in range(1, d + 1):
         yield (one, (1 / k,) * k + (zero,) * (d - k)) if tol else (k, (1,) * k + (0,) * (d - k))
 
     unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    pool = [(unit[i], x0[i]) for i in range(d)]  # coordinate ties with the center
-    pool += [(tuple(a - b for a, b in zip(unit[i], unit[i + 1])), zero) for i in range(d - 1)]  # ordering facets
-    pool.append((unit[-1], zero))  # positivity facet x_d = 0
+    pool = [unit[i] + (x0[i],) for i in range(d)]  # coordinate ties with the center
+    pool += [tuple(a - b for a, b in zip(unit[i], unit[i + 1])) + (zero,) for i in range(d - 1)]  # ordering facets
+    pool.append(unit[-1] + (zero,))  # positivity facet x_d = 0
 
-    ones = [1] * d
+    sum_row = (1,) * d + (one,)
     for signs in itertools.product((1, -1), repeat=d):
         if all(s == 1 for s in signs) or all(s == -1 for s in signs):
             continue
-        rhs_ball = eps + sum(c if s == 1 else -c for s, c in zip(signs, x0))
+        sign_row = signs + (eps + sum(c if s == 1 else -c for s, c in zip(signs, x0)),)
         for extra in itertools.combinations(pool, d - 2):
-            matrix = [ones, signs] + [row for row, _ in extra]
-            rhs = [one, rhs_ball] + [value for _, value in extra]
-            solution = solve_square(matrix, rhs, one, tol)
+            solution = solve_square([sum_row, sign_row, *extra], one, tol)
             if solution is not None:
                 yield solution
+
+
+def solve_square(rows: Sequence[Sequence[Scalar]], one: Scalar, tol: float) -> tuple[Scalar, list] | None:
+    """(q, numerators over q) solving a square integer system given as augmented rows
+    (coefficients, then the right-hand side as a numerator over one; floats over 1.0
+    in float mode); None when no unique solution exists. rows is left unchanged.
+
+    One fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968): the
+    pivot is the first nonzero integer in its column, so singularity is
+    decided exactly; each other row becomes pivot * row - factor * pivot_row.
+    Exact mode brings each b_i / a_ii to q = one * lcm(|a_ii|) as the integer
+    b_i * (lcm // a_ii); float mode divides, over q = 1.0.
+    """
+    rows = list(rows)
+    n = len(rows)
+    for col in range(n):
+        for r in range(col, n):
+            if rows[r][col]:
+                break
+        else:
+            return None
+        pivot = rows[r]
+        rows[r], rows[col] = rows[col], pivot
+        pv = pivot[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != col:
+                rows[r] = [pv * v - f * w for v, w in zip(row, pivot)]
+    if tol:
+        return one, [row[n] / row[i] for i, row in enumerate(rows)]
+    lcm = math.lcm(*[row[i] for i, row in enumerate(rows)])
+    return one * lcm, [row[n] * (lcm // row[i]) for i, row in enumerate(rows)]
 
 
 def _feasible(x: Sequence[Scalar], q: Scalar, x0: Sequence[Scalar], eps: Scalar, one: Scalar, tol: float) -> bool:

@@ -7,7 +7,8 @@ building vectors from them, Fraction arithmetic for the canonical text of
 a value, the entry checks, the lattice kernels (with their own copy of the
 upper envelope) and the squared moduli, a ball test with its own copy
 of the entry checks, Gauss-Jordan on Fractions for the square systems
-of ball vertex listing, and the whole listing sweep on entries.
+of ball vertex listing, the whole listing sweep on entries, and the ball's
+vertices from its full H-representation.
 """
 
 import math
@@ -144,7 +145,7 @@ def reference_feasible(x, x0, eps, tol):
 
 
 def reference_solve_square(matrix, rhs, tol):
-    """numeric.solve_square as it was before it eliminated on integers: Gauss-Jordan
+    """solve_square as it was before it eliminated on integers: Gauss-Jordan
     in the type of rhs[0], with each pivot row normalized. Exact mode pivots on the
     first nonzero entry; float mode partial-pivots and treats magnitudes <= tol as
     zero. None when no unique solution exists."""
@@ -205,6 +206,29 @@ def reference_ball_vertices(x0, eps, tol):
                 all(abs(a - b) <= tol for a, b in zip(x, u)) for u in unique):
             unique.append(x)
     return sorted(unique)
+
+
+def reference_facet_vertices(x0, eps):
+    """The vertices of the exact l1 ball around x0 in the ordered simplex, as sorted
+    entry tuples, from the polytope's full H-representation on the hyperplane
+    sum(x) = 1: the 2^d l1 facets s.(x - x0) <= eps, the d - 1 ordering facets
+    x_(i+1) - x_i <= 0 and -x_d <= 0. Each (d - 1)-subset of them, tight beside
+    the sum row, is solved by reference_solve_square in Fractions, and a point that
+    satisfies every facet is a vertex (brute-force vertex enumeration; compare
+    Avis & Fukuda, Discrete Comput. Geom. 8, 1992). Unlike the sweep, it does not
+    rest on one l1 facet plus coordinate ties reaching every vertex."""
+    d = len(x0)
+    unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    facets = [(s, eps + sum(a * c for a, c in zip(s, x0))) for s in product((1, -1), repeat=d)]
+    facets += [(tuple(b - a for a, b in zip(unit[i], unit[i + 1])), 0) for i in range(d - 1)]
+    facets.append((tuple(-u for u in unit[-1]), 0))
+    found = set()
+    for tight in combinations(facets, d - 1):
+        matrix = [(1,) * d] + [a for a, _ in tight]
+        x = reference_solve_square(matrix, [Fraction(1)] + [Fraction(b) for _, b in tight], 0)
+        if x is not None and all(sum(u * v for u, v in zip(a, x)) <= b for a, b in facets):
+            found.add(tuple(x))
+    return sorted(found)
 
 
 # The lattice kernels, compare and state_to_vector as they were before exact

@@ -23,14 +23,15 @@ from majlat import (
 )
 
 from majlat import polytope
-from majlat.numeric import common_scale, solve_square, unscale
-from majlat.polytope import _candidates, _feasible
+from majlat.numeric import common_scale, unscale
+from majlat.polytope import _candidates, _feasible, solve_square
 
 from .oracles import (
     convex_mix,
     l1_distance,
     random_grid_vector,
     reference_ball_vertices,
+    reference_facet_vertices,
     reference_feasible,
     reference_solve_square,
 )
@@ -173,9 +174,10 @@ class TestBallVertices:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_solve_square_matches_reference(self, mode, monkeypatch):
         """Every system _candidates builds for seeded balls, and random singular
-        systems: exact solutions equal, float ones within d * tol, None together.
-        The reference takes the right-hand side as values, Fraction(v, one) in
-        exact mode, and solve_square's (q, numerators) become entries."""
+        systems: exact solutions equal, float ones within d * tol, None together,
+        and the given row list unchanged. The reference takes each system split
+        into matrix and right-hand side, as values (Fraction(v, one) in exact
+        mode), and solve_square's (q, numerators) become entries."""
         rng = random.Random(71)
         systems = []
         monkeypatch.setattr(polytope, "solve_square", lambda *system: systems.append(system))
@@ -190,16 +192,19 @@ class TestBallVertices:
         singular = []
         for _ in range(200):
             n = rng.randint(2, 5)
-            rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n - 1)]
+            matrix = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n - 1)]
             a, b, s, t = rng.randrange(n - 1), rng.randrange(n - 1), rng.randint(-1, 1), rng.randint(-1, 1)
-            rows.insert(rng.randint(0, n - 1), [s * u + t * v for u, v in zip(rows[a], rows[b])])
+            matrix.insert(rng.randint(0, n - 1), [s * u + t * v for u, v in zip(matrix[a], matrix[b])])
             rhs = [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(n)]
             one, (numerators,) = common_scale((rhs if tol == 0 else [float(v) for v in rhs],), tol)
-            singular.append((rows, list(numerators), one, tol))
+            singular.append(([(*row, v) for row, v in zip(matrix, numerators)], one, tol))
         outcomes = set()
-        for matrix, rhs, one, tol in systems + singular:
-            solved = solve_square(matrix, rhs, one, tol)
+        for rows, one, tol in systems + singular:
+            given = list(rows)
+            solved = solve_square(rows, one, tol)
+            assert rows == given
             got = None if solved is None else list(unscale(solved[1], solved[0], tol))
+            matrix, rhs = [row[:-1] for row in rows], [row[-1] for row in rows]
             want = reference_solve_square(matrix, [Fraction(v, one) for v in rhs] if tol == 0 else rhs, tol)
             outcomes.add(want is None)
             if got is None or want is None or tol == 0:
@@ -229,6 +234,20 @@ class TestBallVertices:
                 near = lambda v, w: all(abs(a - b) <= d * c.tol for a, b in zip(v, w))
                 assert all(any(near(v, w) for w in want) for v in got)
                 assert all(any(near(v, w) for v in got) for w in want)
+
+    def test_listing_matches_facet_enumeration(self):
+        """Exact listings for d = 1..4 against reference_facet_vertices, which
+        solves every choice of tight facets of the full H-representation and so
+        does not share the sweep's argument that one l1 facet plus coordinate
+        ties reaches every vertex: lists identical, at radius 0, k/40 and past
+        the point mass."""
+        rng = random.Random(83)
+        for d in (1,) * 2 + (2,) * 6 + (3,) * 8 + (4,) * 2:
+            center = random_grid_vector(rng, d, 40)
+            past_point_mass = 2 * (1 - center.entries[0]) + Fraction(rng.randint(1, 6), 40)
+            for radius in (Fraction(0), Fraction(rng.randint(1, 40), 40), past_point_mass):
+                got = [v.entries for v in ball_vertices(Ball(center, radius)).vertices]
+                assert got == reference_facet_vertices(center.entries, radius)
 
     def test_dimension_cap(self):
         center = make_vector([Fraction(1, 11)] * 11)
