@@ -35,6 +35,8 @@ SOLVE = "tests/test_polytope.py::TestBallVertices::test_solve_square_matches_ref
 FEASIBLE = "tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"
 LISTING = "tests/test_polytope.py::TestBallVertices::test_listing_matches_reference_sweep"
 FACETS = "tests/test_polytope.py::TestBallVertices::test_listing_matches_facet_enumeration"
+CLOSED = "tests/test_polytope.py::TestClosedFormsMatchVertexFold"
+POINT = "tests/test_polytope.py::TestApproximations::test_float_radius_within_tol_is_a_point"
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
@@ -69,6 +71,21 @@ MUTANTS = [
     ("rows not scaled by the pivot", "polytope.py", [("pv * v - f * w", "v - f * w")], [SOLVE]),
     ("singular column not detected", "polytope.py", [("        else:\n            return None\n", "")], [SOLVE]),
     ("given rows eliminated in place", "polytope.py", [("    rows = list(rows)\n", "")], [SOLVE]),
+    # The O(d) closed forms of the ball bounds (steepest_approx, flattest_approx, _water_level).
+    ("float radius within tol not a point", "polytope.py",
+     [("return leq(ball.radius, 0, ball.center.tol)", "return ball.radius == 0")], [POINT]),
+    ("steepest without the 1 - out[0] cap", "polytope.py",
+     [("move = min(ball.radius / 2, 1 - out[0])", "move = ball.radius / 2")], [CLOSED]),
+    ("steepest moves the whole radius", "polytope.py",
+     [("min(ball.radius / 2, 1 - out[0])", "min(ball.radius, 1 - out[0])")], [CLOSED]),
+    ("steepest takes from the largest tail entries first", "polytope.py",
+     [("for i in range(len(out) - 1, 0, -1):", "for i in range(1, len(out)):")], [CLOSED]),
+    ("flattest floor from the unreversed entries", "polytope.py",
+     [("tuple(-e for e in reversed(x))", "tuple(-e for e in x)")], [CLOSED]),
+    ("water level over k + 1", "polytope.py", [("level = (head - half) / k", "level = (head - half) / (k + 1)")],
+     [CLOSED]),
+    ("flattest without its uniform shortcut", "polytope.py",
+     [("    if half >= sum(e - share for e in x if e > share):\n        return uniform\n", "")], [CLOSED]),
     # The exact kernels on integer numerators over one common denominator.
     ("unscale as v / one", "numeric.py",
      [("tuple(Fraction(v, one) for v in values)", "tuple(v / one for v in values)")], [KERNELS]),
@@ -124,6 +141,10 @@ MUTANTS = [
 EQUIVALENT = [
     ("PAV pools ties (<=)", "lattice.py", "below * count < total * size -> <=",
      "pooling two blocks of equal means leaves every mean unchanged"),
+    ("uniform shortcut only past the tie (>)", "polytope.py", "half >= sum(...) -> >",
+     "at a tie both water levels reach 1/d, which is the uniform vector"),
+    ("water level stops only past a tie (<)", "polytope.py", "entries[k] <= level -> <",
+     "an entry equal to the level leaves the level unchanged when it is taken in"),
 ]
 
 

@@ -26,10 +26,25 @@ _PALETTE = (
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 _Y_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_GRID = {"stroke": "#dddddd", "stroke-width": 1}
+_MONO = {"font-family": "monospace"}
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _element(tag: str, attrs: dict[str, object], text: object = None) -> str:
+    """One element with its attributes in the order given; without text it closes with />.
+
+    Attribute values are this module's own numbers and colors and are written as given.
+    Text is escaped by hand: importing xml.sax.saxutils pulls in urllib, http and email.
+    """
+    head = tag + "".join([f' {name}="{value}"' for name, value in attrs.items()])
+    if text is None:
+        return f"<{head}/>"
+    text = str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<{head}>{text}</{tag}>"
 
 
 def emit_lorenz_svg(curves: Sequence[tuple[str, LorenzCurve]]) -> str:
@@ -42,72 +57,46 @@ def emit_lorenz_svg(curves: Sequence[tuple[str, LorenzCurve]]) -> str:
         if curve.d != d:
             raise DimensionMismatchError(f"curve dimensions differ: {curve.d} vs {d}")
 
-    def px(omega: float) -> float:
-        return _LEFT + (omega / d) * _PLOT_W
+    def px(omega: float) -> str:
+        return _fmt(_LEFT + (omega / d) * _PLOT_W)
 
-    def py(value: float) -> float:
-        return _TOP + (1.0 - value) * _PLOT_H
+    def py(value: float) -> str:
+        return _fmt(_TOP + (1.0 - value) * _PLOT_H)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        _element("rect", {"x": 0, "y": 0, "width": WIDTH, "height": HEIGHT, "fill": "#ffffff"}),
     ]
 
     x_step = max(1, -(-d // 16))  # at most ~16 labelled ticks
     for k in range(0, d + 1, x_step):
-        x = _fmt(px(k))
-        parts.append(
-            f'<line x1="{x}" y1="{_fmt(py(0.0))}" x2="{x}" y2="{_fmt(py(1.0))}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x}" y="{_fmt(py(0.0) + 20)}" font-family="monospace" '
-            f'font-size="12" text-anchor="middle">{k}</text>'
-        )
+        x = px(k)
+        parts.append(_element("line", {"x1": x, "y1": py(0.0), "x2": x, "y2": py(1.0), **_GRID}))
+        parts.append(_element("text", {"x": x, "y": _fmt(_TOP + _PLOT_H + 20), **_MONO, "font-size": 12,
+                                       "text-anchor": "middle"}, k))
     for tick in _Y_TICKS:
-        y = _fmt(py(tick))
-        parts.append(
-            f'<line x1="{_fmt(px(0))}" y1="{y}" x2="{_fmt(px(d))}" y2="{y}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px(0) - 8)}" y="{y}" font-family="monospace" '
-            f'font-size="12" text-anchor="end" dominant-baseline="middle">{tick:g}</text>'
-        )
-    parts.append(
-        f'<rect x="{_fmt(_LEFT)}" y="{_fmt(_TOP)}" width="{_fmt(_PLOT_W)}" '
-        f'height="{_fmt(_PLOT_H)}" fill="none" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt(_LEFT + _PLOT_W / 2)}" y="{_fmt(HEIGHT - 12)}" font-family="monospace" '
-        f'font-size="13" text-anchor="middle">index</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt(_TOP + _PLOT_H / 2)}" font-family="monospace" font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 16 {_fmt(_TOP + _PLOT_H / 2)})">'
-        f'cumulative probability</text>'
-    )
+        y = py(tick)
+        parts.append(_element("line", {"x1": px(0), "y1": y, "x2": px(d), "y2": y, **_GRID}))
+        parts.append(_element("text", {"x": _fmt(_LEFT - 8), "y": y, **_MONO, "font-size": 12, "text-anchor": "end",
+                                       "dominant-baseline": "middle"}, f"{tick:g}"))
+    parts.append(_element("rect", {"x": _fmt(_LEFT), "y": _fmt(_TOP), "width": _fmt(_PLOT_W), "height": _fmt(_PLOT_H),
+                                   "fill": "none", "stroke": "#000000", "stroke-width": 1}))
+    parts.append(_element("text", {"x": _fmt(_LEFT + _PLOT_W / 2), "y": _fmt(HEIGHT - 12), **_MONO, "font-size": 13,
+                                   "text-anchor": "middle"}, "index"))
+    mid = _fmt(_TOP + _PLOT_H / 2)
+    parts.append(_element("text", {"x": 16, "y": mid, **_MONO, "font-size": 13, "text-anchor": "middle",
+                                   "transform": f"rotate(-90 16 {mid})"}, "cumulative probability"))
 
     for idx, (label, curve) in enumerate(items):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(
-            f"{_fmt(px(k))},{_fmt(py(float(v)))}" for k, v in enumerate(curve.values)
-        )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
+        points = " ".join(f"{px(k)},{py(float(v))}" for k, v in enumerate(curve.values))
+        parts.append(_element("polyline", {"points": points, "fill": "none", "stroke": color, "stroke-width": 2}))
         ly = _TOP + 14 + 18 * idx
-        # escaped by hand: importing xml.sax.saxutils pulls in urllib, http and email
-        text = str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(
-            f'<rect x="{_fmt(WIDTH - _RIGHT + 14)}" y="{_fmt(ly - 9)}" width="14" height="10" '
-            f'fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(WIDTH - _RIGHT + 34)}" y="{_fmt(ly)}" font-family="monospace" '
-            f'font-size="12">{text}</text>'
-        )
+        parts.append(_element("rect", {"x": _fmt(WIDTH - _RIGHT + 14), "y": _fmt(ly - 9), "width": 14, "height": 10,
+                                       "fill": color}))
+        parts.append(_element("text", {"x": _fmt(WIDTH - _RIGHT + 34), "y": _fmt(ly), **_MONO, "font-size": 12},
+                              label))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

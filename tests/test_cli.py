@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import os
@@ -368,18 +370,23 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert err == "majlat: internal error: RuntimeError: kernel fault\n" and not out
 
-    @pytest.mark.parametrize("name, data", [
-        ("latin1.json", '{"vectors": [["0.5", "0.5"], ["1", "0"]], "note": "caf\xe9"}'.encode("latin-1")),
-        ("latin1.csv", "0.5,0.5\n1,0\ncaf\xe9\n".encode("latin-1")),
-        ("long-int.json", ('{"vectors": [[' + "1" * 5000 + ", 0], [1, 0]]}").encode()),
-        ("deep.json", ('{"vectors": ' + "[" * 100_000 + "]" * 100_000 + "}").encode()),
-    ], ids=["json-not-utf8", "csv-not-utf8", "json-int-past-digit-limit", "json-nested-past-recursion-limit"])
-    def test_unreadable_file_is_two(self, tmp_path, name, data, capsys):
+    @pytest.mark.parametrize("name, data, message", [
+        ("latin1.json", '{"vectors": [["0.5", "0.5"], ["1", "0"]], "note": "caf\xe9"}'.encode("latin-1"),
+         "not UTF-8"),
+        ("latin1.csv", "0.5,0.5\n1,0\ncaf\xe9\n".encode("latin-1"), "not UTF-8"),
+        ("long-int.json", ('{"vectors": [[' + "1" * 5000 + ", 0], [1, 0]]}").encode(), "invalid JSON"),
+        ("deep.json", ('{"vectors": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(), "invalid JSON"),
+        ("long-cell.csv", ("0." + "0" * csv.field_size_limit() + "1,1\n").encode(), "invalid CSV"),
+        ("scalar.json", b'{"vectors": 5}', '"vectors" must be a list of entry lists'),
+        ("flat.json", b'{"vectors": [1, 2]}', '"vectors" must be a list of entry lists'),
+    ], ids=["json-not-utf8", "csv-not-utf8", "json-int-past-digit-limit", "json-nested-past-recursion-limit",
+            "csv-cell-past-field-limit", "vectors-not-a-list", "vectors-not-lists"])
+    def test_unreadable_file_is_two(self, tmp_path, name, data, message, capsys):
         path = tmp_path / name
         path.write_bytes(data)
         assert run_cli("meet", "-i", str(path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"majlat: {path}: ") and err.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"majlat: {path}: {message}") and err.count("\n") == 1
 
 
 # Inputs for the failure-contract fuzz test: vectors of at most 6 entries,
@@ -462,6 +469,21 @@ class TestSvg:
     def test_labels_are_escaped(self):
         text = emit_lorenz_svg([("a<b&c", partial_sums(top(2)))])
         assert "a&lt;b&amp;c" in text
+
+    # d = 17 and 64 thin the x ticks, and 11 and 12 curves wrap the palette; out/ has neither.
+    @pytest.mark.parametrize("d, count, label, digest", [
+        (1, 1, "c", "441da55b140b57b5e71d383f763f35065b5875e261ec01e99f980ed2d10a0fd6"),
+        (17, 2, "c", "bf047da81c77200e1538af18615644495f4ac92e6af4052d7a3aad57d94b3de1"),
+        (64, 3, "c", "c75c2b1629c25103e8b81c9003c7f566c15cb3a668226ac3a4f8e8ce6b95eb61"),
+        (4, 11, "c", "10624af5e322fc8729500af89f24e112f69faf0f6c97f12e9adb6e522b0c5bce"),
+        (4, 12, "c", "5474098f0bbb854858dd435601ad50de71f88296b45dbbda385d8de9e6155d04"),
+        (3, 2, "<&>", "5fa632070fc1eb2452890b1bdb16e9420f3d2dbe03ac6771e881f4b5073a731d"),
+    ], ids=["d1", "d17", "d64", "11-curves", "12-curves", "escaped-label"])
+    def test_output_digests_are_pinned(self, d, count, label, digest):
+        curves = [(f"{label}{i}", partial_sums(make_vector([str(d - k + i) for k in range(d)], normalize=True)))
+                  for i in range(count)]
+        text = emit_lorenz_svg(curves)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 # Prints, as JSON, the heavy modules that `import majlat.cli` loads and the modules it

@@ -266,6 +266,9 @@ class TestFamilies:
             ExtremalFamily(3, (0, Fraction(1, 10), Fraction(2, 3), 1), ones)
         with pytest.raises(InvalidExtremalError):  # non-monotone upper
             ExtremalFamily(3, good, (0, Fraction(2, 3), Fraction(1, 2), 1))
+        for d in (0, True, 2.0):  # True and 2.0 equal 1 and 2, but are not ints
+            with pytest.raises(InvalidExtremalError, match="dimension must be a positive integer"):
+                ExtremalFamily(d, (0, 1), (0, 1))
 
     def test_non_concave_lower_map_rejected_at_inf(self):
         # monotone and above the uniform curve, yet no family of Lorenz

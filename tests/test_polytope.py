@@ -270,6 +270,13 @@ class TestApproximations:
         assert steepest_approx(ball) == center
         assert flattest_approx(ball) == center
 
+    def test_float_radius_within_tol_is_a_point(self):
+        center = make_vector(CENTER).to_float()
+        ball = Ball(center, center.tol / 2)
+        assert steepest_approx(ball) == center
+        assert flattest_approx(ball) == center
+        assert ball_vertices(ball).vertices == (center,)
+
     def test_sandwich_on_sampled_members(self):
         rng = random.Random(37)
         for _ in range(5):

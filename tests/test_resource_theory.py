@@ -79,6 +79,11 @@ class TestStateToVector:
         with pytest.raises(InvalidStateSpecError):
             state_to_vector(StateSpec(spectrum=["1"]), ResourceTheory.ENTANGLEMENT)
 
+    @pytest.mark.parametrize("amplitude", [("1",), ("1", "0", "0")], ids=["1-tuple", "3-tuple"])
+    def test_amplitude_pair_needs_two_components(self, amplitude):
+        with pytest.raises(InvalidStateSpecError, match="amplitude pair needs"):
+            state_to_vector(StateSpec(amplitudes=[amplitude]), ResourceTheory.COHERENCE)
+
     def test_exactly_one_field(self):
         with pytest.raises(InvalidStateSpecError):
             StateSpec()
@@ -258,6 +263,10 @@ class TestTwoBlockSuperposition:
             ocr_two_block_superposition(0, 4, "0.5")
         with pytest.raises(BlockDimensionError):
             ocr_two_block_superposition(4, 4, "0.9")
+        for build in (ocr_two_block_superposition, two_block_family):
+            for d1, d in ((1.0, 4), (True, 4), (1, 1.0), (1, True)):
+                with pytest.raises(BlockDimensionError, match="block sizes must be integers"):
+                    build(d1, d, "0.5")
 
     def test_alpha_min_range_enforced(self):
         with pytest.raises(AlphaMinOutOfRangeError):
