@@ -33,6 +33,7 @@ KERNELS = "tests/test_kernels.py"
 SPECIAL = "tests/test_parse.py::test_special_strings_match_fraction_route"
 SOLVE = "tests/test_polytope.py::TestBallVertices::test_solve_square_matches_reference"
 FEASIBLE = "tests/test_polytope.py::TestBallVertices::test_feasible_matches_reference"
+NO_MESSAGE = "tests/test_polytope.py::TestBallVertices::test_listing_formats_no_message"
 LISTING = "tests/test_polytope.py::TestBallVertices::test_listing_matches_reference_sweep"
 FACETS = "tests/test_polytope.py::TestBallVertices::test_listing_matches_facet_enumeration"
 CLOSED = "tests/test_polytope.py::TestClosedFormsMatchVertexFold"
@@ -40,22 +41,33 @@ POINT = "tests/test_polytope.py::TestApproximations::test_float_radius_within_to
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
-    # The entry check (core._check_numerators), shared by both modes and ball listing.
+    # The vector rule (core._numerators_fault): _check_numerators raises its fault for make_vector,
+    # and ball listing asks it first about each candidate.
     ("rise at >=", "core.py", [("n - previous > tol", "n - previous >= tol")], [CHECKS]),
     ("sum slack tol, not tol * d", "core.py",
      [("abs(total - one) > tol * d", "abs(total - one) > tol")], [CHECKS]),
     ("-0.0 counted negative", "core.py", [("if n < -tol:", "if n < -tol or str(n)[0] == '-':")], [CHECKS]),
-    ("rise reported before negatives", "core.py",
-     [("rise.append((previous, n))", 'raise NotSortedError(f"entries increase: '
-       '{_shown_entry(previous, one, tol)} < {_shown_entry(n, one, tol)}")')],
-     [CHECKS]),
+    ("rise reported before negatives", "core.py", [("faults[-1]", "faults[0]")], [CHECKS]),
     ("last rise, not first", "core.py",
-     [("if i and not rise and n - previous", "if i and n - previous"), ("a, b = rise[0]", "a, b = rise[-1]")],
+     [("if not faults and previous is not None and n - previous", "if previous is not None and n - previous")],
      [CHECKS]),
-    ("float start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), 0.0)")], [CHECKS]),
-    ("-0.0 start for the total", "core.py", [("total = sum(checked())", "total = sum(checked(), -0.0)")], [CHECKS]),
-    ("_feasible without the entry check", "polytope.py",
-     [("        _check_numerators(x, q, tol, len(x))\n", "        pass\n")], [FEASIBLE]),
+    ("fault scan stops at the first rise", "core.py",
+     [('faults.append((NotSortedError, "entries increase: {} < {}", previous, n))\n',
+       'faults.append((NotSortedError, "entries increase: {} < {}", previous, n))\n            return\n')],
+     [CHECKS]),
+    ("float start for the total", "core.py",
+     [("total = sum(_scanned(values, tol, faults))", "total = sum(_scanned(values, tol, faults), 0.0)")], [CHECKS]),
+    ("-0.0 start for the total", "core.py",
+     [("total = sum(_scanned(values, tol, faults))", "total = sum(_scanned(values, tol, faults), -0.0)")], [CHECKS]),
+    ("_check_numerators returns the fault unraised", "core.py", [("raise fault()", "fault()")], [CHECKS]),
+    ("_feasible without the vector rule", "polytope.py",
+     [("    if _numerators_fault(x, q, tol, len(x)):\n        return False\n", "")], [FEASIBLE]),
+    ("_feasible builds the error of each refused candidate", "polytope.py",
+     [("if _numerators_fault(x, q, tol, len(x)):", "if (fault := _numerators_fault(x, q, tol, len(x))) and fault():")],
+     [NO_MESSAGE]),
+    ("_feasible without the l1 test", "polytope.py",
+     [("return leq(sum(abs(u * one - v * q) for u, v in zip(x, x0)), eps * q, tol * len(x0))", "return True")],
+     [FEASIBLE]),
     # Ball listing on numerators: the center and radius over one, each candidate over its q.
     ("l1 test without * one", "polytope.py", [("abs(u * one - v * q)", "abs(u - v * q)")], [FEASIBLE]),
     ("l1 test without * q", "polytope.py", [("abs(u * one - v * q)", "abs(u * one - v)")], [FEASIBLE]),

@@ -13,12 +13,13 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadEndpointsError,
     DimensionMismatchError,
     EmptyInputError,
+    MajlatError,
     ModeMismatchError,
     NegativeEntryError,
     NotConcaveError,
@@ -152,33 +153,49 @@ class LorenzCurve(_Frozen):
 
 
 def _check_numerators(values: Iterable[Scalar], one: Scalar, tol: float, d: int) -> None:
-    """The vector rule on d entries given as numerators over one.
+    """The vector rule on d entries given as numerators over one, as a check:
+    raises the error _numerators_fault builds. make_vector checks every row here."""
+    fault = _numerators_fault(values, one, tol, d)
+    if fault:
+        raise fault()
 
-    make_vector checks every row here, ball listing each candidate over its
-    q from polytope.solve_square. Float entries are their own numerators over
-    1.0; exact ones are taken one at a time, so memory holds one numerator
-    and the total. Any negative entry is reported first, then the first rise
-    by more than tol, then a sum more than tol * d away from one. An exact
-    entry is shown as Fraction(n, one). sum() takes the total, so a float
-    total rounds as sum(entries) does on every Python (3.12 changed that).
+
+def _numerators_fault(values: Iterable[Scalar], one: Scalar, tol: float, d: int) -> Callable[[], MajlatError] | None:
+    """None when d entries given as numerators over one satisfy the vector rule;
+    else a callable that builds the error naming the fault.
+
+    _check_numerators raises that error; ball listing asks this about each
+    candidate over its q from polytope.solve_square and builds no error, so
+    no message is formatted for a rejected candidate. Float entries are their
+    own numerators over 1.0; exact ones are taken one at a time, so memory
+    holds one numerator and the total. Any negative entry is reported first,
+    then the first rise by more than tol, then a sum more than tol * d away
+    from one. An exact entry is shown as Fraction(n, one). sum() takes the
+    total, so a float total rounds as sum(entries) does on every Python (3.12
+    changed that).
     """
-    rise = []
+    faults = []
+    total = sum(_scanned(values, tol, faults))
+    if not faults and abs(total - one) > tol * d:
+        faults.append((NotNormalizedError, "entries sum to {}, expected 1", total))
+    if not faults:
+        return None
+    error, text, *numerators = faults[-1]
+    return lambda: error(text.format(*[_shown_entry(n, one, tol) for n in numerators]))
 
-    def checked():
-        for i, n in enumerate(values):
-            if n < -tol:
-                raise NegativeEntryError(f"negative entry {_shown_entry(n, one, tol)}")
-            if i and not rise and n - previous > tol:
-                rise.append((previous, n))
-            previous = n
-            yield n
 
-    total = sum(checked())
-    if rise:
-        a, b = rise[0]
-        raise NotSortedError(f"entries increase: {_shown_entry(a, one, tol)} < {_shown_entry(b, one, tol)}")
-    if abs(total - one) > tol * d:
-        raise NotNormalizedError(f"entries sum to {_shown_entry(total, one, tol)}, expected 1")
+def _scanned(values: Iterable[Scalar], tol: float, faults: list) -> Iterator[Scalar]:
+    """values up to the first negative one, appending to faults the first rise by
+    more than tol, then that negative entry; so the last fault appended wins."""
+    previous = None
+    for n in values:
+        if n < -tol:
+            faults.append((NegativeEntryError, "negative entry {}", n))
+            return
+        if not faults and previous is not None and n - previous > tol:
+            faults.append((NotSortedError, "entries increase: {} < {}", previous, n))
+        previous = n
+        yield n
 
 
 def _shown_entry(n: Scalar, one: Scalar, tol: float) -> str:

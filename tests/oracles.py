@@ -117,8 +117,9 @@ def reference_scalar_str(value):
 
 
 def reference_check_entries(entries, tol):
-    """The vector rule of core._check_numerators on parsed entries, without
-    integer numerators: Fraction comparisons and a Fraction sum."""
+    """The vector rule of core._numerators_fault, raised as _check_numerators raises
+    it, on parsed entries without integer numerators: Fraction comparisons and a
+    Fraction sum."""
     zero = entries[0] * 0
     for e in entries:
         if not geq(e, zero, tol):
@@ -132,7 +133,7 @@ def reference_check_entries(entries, tol):
 
 
 def reference_feasible(x, x0, eps, tol):
-    """polytope._feasible without core._check_numerators: the ball test and
+    """polytope._feasible without core._numerators_fault: the ball test and
     its own order, sign and sum tests."""
     d = len(x0)
     zero = x0[0] * 0

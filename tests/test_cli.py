@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -469,6 +470,22 @@ class TestSvg:
     def test_labels_are_escaped(self):
         text = emit_lorenz_svg([("a<b&c", partial_sums(top(2)))])
         assert "a&lt;b&amp;c" in text
+
+    @pytest.mark.parametrize("count", [31, 40])
+    def test_legend_stays_on_the_canvas(self, count):
+        """Legend rows are 18 px apart while 31 fit; past that they move closer, and every
+        legend rect and label (a 12 px font, 3 px below its baseline at most) stays inside
+        the 600 px canvas, in order, the last one where the 31st sits."""
+        text = emit_lorenz_svg([(f"c{i}", partial_sums(top(3))) for i in range(count)])
+        rects = [float(y) for y in re.findall(r'<rect x="644.00" y="([0-9.]+)" width="14" height="10"', text)]
+        labels = [float(y) for y in re.findall(r'<text x="664.00" y="([0-9.]+)"', text)]
+        assert len(rects) == len(labels) == count
+        assert all(0 <= y and y + 10 <= 600 for y in rects)
+        assert all(12 <= y <= 600 - 3 for y in labels)
+        assert all(a < b for a, b in zip(labels, labels[1:]))
+        assert labels[0] == 44 and labels[-1] == 584
+        if count <= 31:
+            assert {b - a for a, b in zip(labels, labels[1:])} == {18}
 
     # d = 17 and 64 thin the x ticks, and 11 and 12 curves wrap the palette; out/ has neither.
     @pytest.mark.parametrize("d, count, label, digest", [

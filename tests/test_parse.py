@@ -7,12 +7,13 @@ read_row, as numerators over one common denominator: a plain exact row whole
 as integer pairs, any other row one entry at a time through parse_scalar,
 whose Fractions or floats it keeps as entries;
 it normalizes and sorts the numerators and checks them once with
-_check_numerators. That check takes both modes in one pass, exact
-numerators one at a time, so its memory holds one numerator and the total,
-whether make_vector or ball listing (each candidate over its own
-denominator) asks it. All must behave exactly as the references do: equal
-values of the same type (the same repr in float mode, signed zero
-included) and the same exception class and message. scalar_str works on
+_check_numerators. That check raises the fault _numerators_fault finds in
+one pass over either mode, exact numerators one at a time, so its memory
+holds one numerator and the total; ball listing asks _numerators_fault
+about each candidate, over its own denominator, and raises nothing. All
+must behave exactly as the references do: equal values of the same type
+(the same repr in float mode, signed zero included) and the same
+exception class and message. scalar_str works on
 the numerator and denominator as integers and must give the reference's
 text, or its ValueError past the int-to-text digit limit.
 """
@@ -29,7 +30,7 @@ from hypothesis import example, given
 
 from majlat import OrderedProbVector, make_vector, numeric
 from majlat.cli import main
-from majlat.core import _check_numerators
+from majlat.core import _check_numerators, _numerators_fault
 from majlat.errors import MajlatError, NotNormalizedError
 from majlat.numeric import common_scale, parse_scalar, parse_values, scalar_str
 
@@ -241,18 +242,26 @@ _LOW = 1.0 - 1e-12 * 2
 @example((-0.0,))
 @example((0.3,) * 10)  # a total that sum() rounds apart from a running sum on Python 3.12+
 def test_entry_check_matches_fraction_checks(entries):
-    """Exact mode on the entries as Fractions, float mode on them as floats."""
-    exact = tuple(map(Fraction, entries))
-    assert _outcome(_check_scaled, exact, 0) == _outcome(reference_check_entries, exact, 0)
-    floats = tuple(map(float, entries))
-    assert _outcome(_check_scaled, floats, 1e-12) == _outcome(reference_check_entries, floats, 1e-12)
+    """Exact mode on the entries as Fractions, float mode on them as floats. The
+    fault _numerators_fault finds is None exactly when _check_numerators passes,
+    and otherwise builds the error _check_numerators raises."""
+    for values, tol in ((tuple(map(Fraction, entries)), 0), (tuple(map(float, entries)), 1e-12)):
+        checked = _outcome(_check_scaled, values, tol)
+        assert checked == _outcome(reference_check_entries, values, tol)
+        fault = _check_scaled(values, tol, _numerators_fault)
+        if checked is None:
+            assert fault is None
+        else:
+            error = fault()
+            assert isinstance(error, MajlatError) and (type(error), str(error)) == checked
 
 
-def _check_scaled(entries, tol):
-    """_check_numerators on entries brought over one denominator by common_scale, as
-    make_vector's parsed rows and ball listing's candidates (over their own q) reach it."""
+def _check_scaled(entries, tol, check=_check_numerators):
+    """check (_check_numerators or _numerators_fault) on entries brought over one
+    denominator by common_scale, as make_vector's parsed rows and ball listing's
+    candidates (over their own q) reach it."""
     one, (numerators,) = common_scale((entries,), tol)
-    _check_numerators(numerators, one, tol, len(entries))
+    return check(numerators, one, tol, len(entries))
 
 
 def test_exact_check_holds_one_numerator_at_a_time():

@@ -22,7 +22,7 @@ from majlat import (
     steepest_approx,
 )
 
-from majlat import polytope
+from majlat import core, polytope
 from majlat.numeric import common_scale, unscale
 from majlat.polytope import _candidates, _feasible, solve_square
 
@@ -170,6 +170,25 @@ class TestBallVertices:
                 assert _feasible(x, q, x0, eps, one, tol) == want
                 outcomes.add(want)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_listing_formats_no_message(self, mode, monkeypatch):
+        """Listing refuses candidates without building an error for them: with
+        core._shown_entry, which every error message of the vector rule calls,
+        made to raise, balls at d = 3 and 4 list the same vertices as before."""
+        rng = random.Random(89)
+        balls = []
+        for d in (3, 4) * 4:
+            center = random_grid_vector(rng, d, 40)
+            radius = Fraction(rng.randint(1, 40), 40)
+            balls.append(Ball(center, radius) if mode == "exact" else Ball(center.to_float(), float(radius)))
+        want = [ball_vertices(b).vertices for b in balls]
+
+        def refuse(*args):
+            raise AssertionError("listing formatted an error message")
+
+        monkeypatch.setattr(core, "_shown_entry", refuse)
+        assert [ball_vertices(b).vertices for b in balls] == want
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_solve_square_matches_reference(self, mode, monkeypatch):
