@@ -38,6 +38,8 @@ LISTING = "tests/test_polytope.py::TestBallVertices::test_listing_matches_refere
 FACETS = "tests/test_polytope.py::TestBallVertices::test_listing_matches_facet_enumeration"
 CLOSED = "tests/test_polytope.py::TestClosedFormsMatchVertexFold"
 POINT = "tests/test_polytope.py::TestApproximations::test_float_radius_within_tol_is_a_point"
+CURVES = "tests/test_core.py::TestLorenzCurve"
+EXTREMAL = "tests/test_lattice.py::TestFamilies"
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
@@ -143,6 +145,24 @@ MUTANTS = [
      ["tests/test_parse.py::test_declined_row_keeps_parsed_entries"]),
     ("make_vector's numerators unchecked", "core.py",
      [("    _check_numerators(numerators, one, tol, len(values))\n", "")], [ROWS]),
+    # The curve rule (core._check_cumulative) on read_row's numerators, for LorenzCurve and
+    # ExtremalFamily, and the order of the two maps.
+    ("S_d against 1, not one", "core.py", [("eq(values[-1], one, tol * d)", "eq(values[-1], 1, tol * d)")],
+     [CURVES]),
+    ("concavity without 2 *", "core.py",
+     [("geq(2 * values[k], values[k - 1]", "geq(values[k], values[k - 1]")], [CURVES]),
+    ("upper map checked as concave", "lattice.py",
+     [('("upper", numerators[d + 1 :], False)', '("upper", numerators[d + 1 :], True)')], [EXTREMAL]),
+    ("order of the two maps unchecked", "lattice.py",
+     [("        for k in range(d + 1):\n            if not geq(numerators[d + 1 + k], numerators[k], tol):\n"
+       '                raise InvalidExtremalError(f"upper map below lower map at k={k}")\n', "")], [EXTREMAL]),
+    ("S_d slack tol, not tol * d", "core.py", [("eq(values[-1], one, tol * d)", "eq(values[-1], one, tol)")],
+     [CURVES]),
+    ("concavity slack tol, not 2 * tol", "core.py",
+     [("values[k + 1], 2 * tol)", "values[k + 1], tol)")], [CURVES]),
+    ("monotone slack tol * d", "core.py", [("if not geq(b, a, tol):", "if not geq(b, a, tol * d):")], [CURVES]),
+    ("S_0 shown as its numerator", "core.py",
+     [("got {_shown_entry(values[0], one, tol)}", "got {shown(values[0])}")], [CURVES]),
     # The one mode rule (numeric.resolve_mode).
     ("bool tolerance read as a number", "numeric.py",
      [("        if isinstance(tol, bool):  # float(True) would be a tolerance of 1.0\n"

@@ -36,7 +36,6 @@ from .numeric import (
     eq,
     geq,
     parse_scalar,
-    parse_values,
     read_row,
     resolve_mode,
     scalar_str,
@@ -133,9 +132,9 @@ class LorenzCurve(_Frozen):
         values = tuple(values)
         if len(values) < 2:
             raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
-        values, tol = parse_values(values, tol)
-        _check_cumulative(values, tol)
-        self.__dict__.update(values=values, tol=tol)
+        tol, one, numerators, entries = read_row(values, tol)
+        _check_cumulative(tuple(numerators), one, tol)
+        self.__dict__.update(values=tuple(entries), tol=tol)
 
     @property
     def d(self) -> int:
@@ -203,21 +202,25 @@ def _shown_entry(n: Scalar, one: Scalar, tol: float) -> str:
     return shown(Fraction(n, one) if tol == 0 else n)
 
 
-def _check_cumulative(values: Sequence[Scalar], tol: float, concave: bool = True) -> None:
-    """Endpoint, monotonicity and (optionally) concavity checks of parsed S_0..S_d."""
+def _check_cumulative(values: Sequence[Scalar], one: Scalar, tol: float, concave: bool = True) -> None:
+    """Endpoint, monotonicity and (optionally) concavity checks of S_0..S_d as numerators
+    over one, from read_row, shown as _numerators_fault shows entries. S_0 is checked
+    against 0, S_d against one within tol * d, and concavity at k as 2 * S_k >= S_{k-1} +
+    S_{k+1} within 2 * tol: exact on integers, and in float mode the decisions of the
+    midpoint test within tol, since doubling is exact."""
     d = len(values) - 1
-    zero = values[0] * 0
-    if not eq(values[0], zero, tol):
-        raise BadEndpointsError(f"S_0 must be 0, got {shown(values[0])}")
-    if not eq(values[-1], zero + 1, tol * d):
-        raise BadEndpointsError(f"S_d must be 1, got {shown(values[-1])}")
-    for a, b in zip(values, values[1:]):
+    if not eq(values[0], 0, tol):
+        raise BadEndpointsError(f"S_0 must be 0, got {_shown_entry(values[0], one, tol)}")
+    if not eq(values[-1], one, tol * d):
+        raise BadEndpointsError(f"S_d must be 1, got {_shown_entry(values[-1], one, tol)}")
+    for a, b in pairwise(values):
         if not geq(b, a, tol):
-            raise NotMonotoneError(f"cumulative values decrease: {shown(a)} > {shown(b)}")
+            shown_a, shown_b = _shown_entry(a, one, tol), _shown_entry(b, one, tol)
+            raise NotMonotoneError(f"cumulative values decrease: {shown_a} > {shown_b}")
     if not concave:
         return
     for k in range(1, d):
-        if not geq(values[k], (values[k - 1] + values[k + 1]) / 2, tol):
+        if not geq(2 * values[k], values[k - 1] + values[k + 1], 2 * tol):
             raise NotConcaveError(f"concavity fails at index {k}")
 
 

@@ -37,7 +37,7 @@ from .errors import (
     NotConcaveError,
     NotMonotoneError,
 )
-from .numeric import Scalar, common_scale, geq, lt, parse_values, unscale
+from .numeric import Scalar, common_scale, geq, lt, read_row, unscale
 
 
 class ExtremalFamily(_Frozen):
@@ -57,18 +57,18 @@ class ExtremalFamily(_Frozen):
         lower, upper = tuple(lower), tuple(upper)
         if len(lower) != d + 1 or len(upper) != d + 1:
             raise InvalidExtremalError("extrema maps must cover k = 0..d")
-        values, tol = parse_values(lower + upper, tol)
-        lower, upper = values[: d + 1], values[d + 1 :]
+        tol, one, numerators, entries = read_row(lower + upper, tol)
+        numerators, entries = tuple(numerators), tuple(entries)
         # per-index infima of Lorenz curves are concave; suprema need not be
-        for name, sums, concave in (("lower", lower, True), ("upper", upper, False)):
+        for name, sums, concave in (("lower", numerators[: d + 1], True), ("upper", numerators[d + 1 :], False)):
             try:
-                _check_cumulative(sums, tol, concave)
+                _check_cumulative(sums, one, tol, concave)
             except (BadEndpointsError, NotMonotoneError, NotConcaveError) as exc:
                 raise InvalidExtremalError(f"{name} map: {exc}") from exc
         for k in range(d + 1):
-            if not geq(upper[k], lower[k], tol):
+            if not geq(numerators[d + 1 + k], numerators[k], tol):
                 raise InvalidExtremalError(f"upper map below lower map at k={k}")
-        self.__dict__.update(d=d, lower=lower, upper=upper, tol=tol)
+        self.__dict__.update(d=d, lower=entries[: d + 1], upper=entries[d + 1 :], tol=tol)
 
 
 def _members(family: Sequence[OrderedProbVector]) -> tuple[tuple[OrderedProbVector, ...], float]:

@@ -6,16 +6,15 @@ value. The rule that picks the mode (resolve_mode) and all tolerant
 comparisons live here, so every entry point parses alike and the tie
 policy is uniform: a difference within tau counts as zero.
 
-parse_scalar and parse_values read exact values through Fraction, one at
-a time, and plain float text (_PLAIN_FLOAT) by float(). read_row is the one
-reader of a row given to core.make_vector or to
-resource_theory.state_to_vector (as amplitudes): it yields the row's
-entries and their numerators over one common denominator, integers in
-exact mode. A plain exact row of decimal and ratio strings is read in one
-regular-expression match as integer pairs (n, q); any other row value by
-value through parse_scalar. Exact entries are compared and checked as
-integer numerators over one common denominator (read_row, or
-common_scale on parsed rows).
+read_row is the one reader of a raw row: the entries of make_vector,
+state_to_vector's amplitudes, a LorenzCurve's values, an ExtremalFamily's
+two maps as one row, and each coherence parameter as a one-entry row. It
+gives the entries and their numerators over one common denominator,
+integers in exact mode: a plain exact row of decimal and ratio strings in
+one regular-expression match as integer pairs (n, q), any other row value
+by value through parse_scalar. parse_scalar alone reads a lone value of
+known mode (a Ball radius, LorenzCurve.value_at): exact values through
+Fraction, plain float text (_PLAIN_FLOAT) by float().
 """
 
 from __future__ import annotations
@@ -182,12 +181,6 @@ def resolve_mode(values: Sequence[object], tol: float | None) -> tuple[bool, flo
     if any(isinstance(v, (Fraction, str)) for v in values):
         raise ModeMismatchError("floats mixed with exact values; pick one mode")
     return False, DEFAULT_FLOAT_TOL
-
-
-def parse_values(values: Sequence[object], tol: float | None) -> tuple[tuple[Scalar, ...], float]:
-    """Every value parsed by parse_scalar in the mode resolve_mode picks, and that mode's tolerance."""
-    exact, t = resolve_mode(values, tol)
-    return tuple(parse_scalar(v, exact) for v in values), t
 
 
 def leq(a: Scalar, b: Scalar, tol: float) -> bool:

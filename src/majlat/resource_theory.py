@@ -26,7 +26,7 @@ from .errors import (
     NegativeProbabilityError,
 )
 from .lattice import ExtremalFamily, family_inf, family_sup
-from .numeric import leq, lt, parse_values, read_row, shown, unscale
+from .numeric import leq, lt, read_row, shown, unscale
 
 
 class Direction(Enum):
@@ -135,10 +135,9 @@ def optimal_common_resource(family, theory: ResourceTheory) -> OrderedProbVector
 
 def _check_alpha(alpha: object, d: int, tol: float | None):
     _check_dimension(d)
-    (a,), tol_eff = parse_values((alpha,), tol)
-    zero = a * 0
-    one = zero + 1
-    if not (lt(zero, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
+    tol_eff, _, _, (a,) = read_row((alpha,), tol)
+    one = a * 0 + 1
+    if not (lt(0, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
         raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(a)}")
     a = min(a, one)  # a value accepted within tolerance above 1 is 1
     return a * a, tol_eff
@@ -150,7 +149,7 @@ def _check_blocks(d1: object, d: object, alpha_min_sq, tol: float | None):
             raise BlockDimensionError(f"block sizes must be integers, got {value!r}")
     if not 1 <= d1 < d:
         raise BlockDimensionError(f"need 1 <= d1 < d, got d1={d1}, d={d}")
-    (q,), tol_eff = parse_values((alpha_min_sq,), tol)
+    tol_eff, _, _, (q,) = read_row((alpha_min_sq,), tol)
     one = q * 0 + 1
     if not (lt(one * d1 / d, q, tol_eff) and leq(q, one, tol_eff)):
         raise AlphaMinOutOfRangeError(f"need {d1}/{d} < alpha_min_sq <= 1, got {shown(q)}")

@@ -88,18 +88,21 @@ def emit_lorenz_svg(curves: Sequence[tuple[str, LorenzCurve]]) -> str:
     parts.append(_element("text", {"x": 16, "y": mid, **_MONO, "font-size": 13, "text-anchor": "middle",
                                    "transform": f"rotate(-90 16 {mid})"}, "cumulative probability"))
 
-    # Legend rows sit 18 px apart while 31 fit; more rows close up so that the last stays
-    # at y = HEIGHT - 16, its rect and label inside the canvas.
+    # Legend rows sit 18 px apart while 31 fit; more rows close up so that the last stays at
+    # y = HEIGHT - 16, inside the canvas. Past 46 rows the step is below the 12 px font, so the
+    # swatch shrinks by step / 12 and the font to the step, rounded down to 0.01 px.
     step = min(18, (HEIGHT - 16 - _TOP - 14) / max(1, len(items) - 1))
+    scale = min(1.0, step / 12)
+    swatch = {"width": f"{round(14 * scale, 2):g}", "height": f"{round(10 * scale, 2):g}"}
+    font = {**_MONO, "font-size": f"{min(12, int(step * 100) / 100):g}"}
     for idx, (label, curve) in enumerate(items):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(f"{px(k)},{py(float(v))}" for k, v in enumerate(curve.values))
         parts.append(_element("polyline", {"points": points, "fill": "none", "stroke": color, "stroke-width": 2}))
         ly = _TOP + 14 + step * idx
-        parts.append(_element("rect", {"x": _fmt(WIDTH - _RIGHT + 14), "y": _fmt(ly - 9), "width": 14, "height": 10,
+        parts.append(_element("rect", {"x": _fmt(WIDTH - _RIGHT + 14), "y": _fmt(ly - 9 * scale), **swatch,
                                        "fill": color}))
-        parts.append(_element("text", {"x": _fmt(WIDTH - _RIGHT + 34), "y": _fmt(ly), **_MONO, "font-size": 12},
-                              label))
+        parts.append(_element("text", {"x": _fmt(WIDTH - _RIGHT + 34), "y": _fmt(ly), **font}, label))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive chords for the concave
 majorant, full grid enumeration for optimality, plain sums for distances,
 Fraction's own string grammar for parsing entries one at a time and
-building vectors from them, Fraction arithmetic for the canonical text of
-a value, the entry checks, the lattice kernels (with their own copy of the
+building vectors, Lorenz curves, extremal families and the coherence
+targets from them, Fraction arithmetic for the canonical text of a value,
+the entry checks, the checks of cumulative values, the lattice kernels (with their own copy of the
 upper envelope) and the squared moduli, a ball test with its own copy
 of the entry checks, Gauss-Jordan on Fractions for the square systems
 of ball vertex listing, the whole listing sweep on entries, and the ball's
@@ -16,21 +17,28 @@ import re
 from fractions import Fraction
 from itertools import combinations, islice, product
 
-from majlat import OrderedProbVector, ResourceTheory, make_vector
-from majlat.core import MajOrdering, _trusted, pair_tolerance
+from majlat import LorenzCurve, OrderedProbVector, ResourceTheory, make_vector
+from majlat.core import MajOrdering, _check_dimension, _trusted, pair_tolerance
 from majlat.errors import (
+    AlphaMinOutOfRangeError,
+    AlphaOutOfRangeError,
+    BadEndpointsError,
+    BlockDimensionError,
     EmptyInputError,
+    InvalidExtremalError,
     InvalidStateSpecError,
     ModeMismatchError,
     NegativeEntryError,
     NegativeProbabilityError,
+    NotConcaveError,
+    NotMonotoneError,
     NotNormalizedError,
     NotSortedError,
     ParseError,
 )
 from majlat.lattice import ExtremalFamily, _members
 from majlat.numeric import MAX_DECIMAL_EXPONENT, eq, geq, leq, lt, resolve_mode, shown
-from majlat.resource_theory import _amplitude_components
+from majlat.resource_theory import _amplitude_components, _block_family, _two_blocks
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -86,6 +94,103 @@ def reference_make_vector(raw, *, normalize=False, sort=False, tol=None):
         entries = tuple(sorted(entries, reverse=True))
     reference_check_entries(entries, tol)
     return _trusted(OrderedProbVector, entries=entries, tol=tol)
+
+
+def reference_check_cumulative(values, tol, concave=True):
+    """core._check_cumulative as it was before it checked numerators over one:
+    endpoint, monotonicity and (optionally) concavity checks of parsed S_0..S_d,
+    in Fraction or float arithmetic."""
+    d = len(values) - 1
+    zero = values[0] * 0
+    if not eq(values[0], zero, tol):
+        raise BadEndpointsError(f"S_0 must be 0, got {shown(values[0])}")
+    if not eq(values[-1], zero + 1, tol * d):
+        raise BadEndpointsError(f"S_d must be 1, got {shown(values[-1])}")
+    for a, b in zip(values, values[1:]):
+        if not geq(b, a, tol):
+            raise NotMonotoneError(f"cumulative values decrease: {shown(a)} > {shown(b)}")
+    if not concave:
+        return
+    for k in range(1, d):
+        if not geq(values[k], (values[k - 1] + values[k + 1]) / 2, tol):
+            raise NotConcaveError(f"concavity fails at index {k}")
+
+
+def reference_lorenz_curve(values, tol=0.0):
+    """LorenzCurve(values, tol) on reference_parse_values and reference_check_cumulative."""
+    values = tuple(values)
+    if len(values) < 2:
+        raise BadEndpointsError("need cumulative values S_0..S_d with d >= 1")
+    values, tol = reference_parse_values(values, tol)
+    reference_check_cumulative(values, tol)
+    return _trusted(LorenzCurve, values=values, tol=tol)
+
+
+def reference_curve_to_vector(curve):
+    """curve_to_vector of a raw cumulative row, built by reference_lorenz_curve."""
+    curve = reference_lorenz_curve(curve)
+    return reference_from_sums(curve.values, curve.tol)
+
+
+def reference_extremal_family(d, lower, upper, tol=0.0):
+    """ExtremalFamily(d, lower, upper, tol) on reference_parse_values and
+    reference_check_cumulative: lower + upper parsed as one row."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise InvalidExtremalError(f"dimension must be a positive integer, got {d!r}")
+    lower, upper = tuple(lower), tuple(upper)
+    if len(lower) != d + 1 or len(upper) != d + 1:
+        raise InvalidExtremalError("extrema maps must cover k = 0..d")
+    values, tol = reference_parse_values(lower + upper, tol)
+    lower, upper = values[: d + 1], values[d + 1 :]
+    for name, sums, concave in (("lower", lower, True), ("upper", upper, False)):
+        try:
+            reference_check_cumulative(sums, tol, concave)
+        except (BadEndpointsError, NotMonotoneError, NotConcaveError) as exc:
+            raise InvalidExtremalError(f"{name} map: {exc}") from exc
+    for k in range(d + 1):
+        if not geq(upper[k], lower[k], tol):
+            raise InvalidExtremalError(f"upper map below lower map at k={k}")
+    return _trusted(ExtremalFamily, d=d, lower=lower, upper=upper, tol=tol)
+
+
+def _reference_check_alpha(alpha, d, tol):
+    _check_dimension(d)
+    (a,), tol_eff = reference_parse_values((alpha,), tol)
+    zero = a * 0
+    one = zero + 1
+    if not (lt(zero, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
+        raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(a)}")
+    a = min(a, one)
+    return a * a, tol_eff
+
+
+def _reference_check_blocks(d1, d, alpha_min_sq, tol):
+    for value in (d1, d):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise BlockDimensionError(f"block sizes must be integers, got {value!r}")
+    if not 1 <= d1 < d:
+        raise BlockDimensionError(f"need 1 <= d1 < d, got d1={d1}, d={d}")
+    (q,), tol_eff = reference_parse_values((alpha_min_sq,), tol)
+    one = q * 0 + 1
+    if not (lt(one * d1 / d, q, tol_eff) and leq(q, one, tol_eff)):
+        raise AlphaMinOutOfRangeError(f"need {d1}/{d} < alpha_min_sq <= 1, got {shown(q)}")
+    return min(q, one), tol_eff
+
+
+def reference_ocr_first_component_bound(alpha, d, *, tol=None):
+    return _two_blocks(1, d, *_reference_check_alpha(alpha, d, tol))
+
+
+def reference_first_component_family(alpha, d, *, tol=None):
+    return _block_family(1, d, *_reference_check_alpha(alpha, d, tol))
+
+
+def reference_ocr_two_block_superposition(d1, d, alpha_min_sq, *, tol=None):
+    return _two_blocks(d1, d, *_reference_check_blocks(d1, d, alpha_min_sq, tol))
+
+
+def reference_two_block_family(d1, d, alpha_min_sq, *, tol=None):
+    return _block_family(d1, d, *_reference_check_blocks(d1, d, alpha_min_sq, tol))
 
 
 def reference_scalar_str(value):

@@ -471,21 +471,32 @@ class TestSvg:
         text = emit_lorenz_svg([("a<b&c", partial_sums(top(2)))])
         assert "a&lt;b&amp;c" in text
 
-    @pytest.mark.parametrize("count", [31, 40])
+    @pytest.mark.parametrize("count", [31, 40, 46, 47, 60, 200])
     def test_legend_stays_on_the_canvas(self, count):
         """Legend rows are 18 px apart while 31 fit; past that they move closer, and every
-        legend rect and label (a 12 px font, 3 px below its baseline at most) stays inside
-        the 600 px canvas, in order, the last one where the 31st sits."""
+        legend rect and label (its font size above its baseline at most, a quarter of it
+        below) stays inside the 600 px canvas, in order, the last one where the 31st sits.
+        Up to 46 rows the swatch is 14 x 10 px and the font 12 px; past that the step falls
+        below 12 px and both shrink with it. No swatch reaches the next, and no label's em
+        box, one font size tall, reaches the next baseline's."""
         text = emit_lorenz_svg([(f"c{i}", partial_sums(top(3))) for i in range(count)])
-        rects = [float(y) for y in re.findall(r'<rect x="644.00" y="([0-9.]+)" width="14" height="10"', text)]
-        labels = [float(y) for y in re.findall(r'<text x="664.00" y="([0-9.]+)"', text)]
+        rects = [tuple(map(Fraction, found)) for found in
+                 re.findall(r'<rect x="644.00" y="([0-9.]+)" width="([0-9.]+)" height="([0-9.]+)"', text)]
+        labels = [tuple(map(Fraction, found)) for found in
+                  re.findall(r'<text x="664.00" y="([0-9.]+)" font-family="monospace" font-size="([0-9.]+)"', text)]
         assert len(rects) == len(labels) == count
-        assert all(0 <= y and y + 10 <= 600 for y in rects)
-        assert all(12 <= y <= 600 - 3 for y in labels)
-        assert all(a < b for a, b in zip(labels, labels[1:]))
-        assert labels[0] == 44 and labels[-1] == 584
+        assert all(0 <= y and y + height <= 600 for y, _, height in rects)
+        assert all(size <= y <= 600 - size / 4 for y, size in labels)
+        assert all(a + height <= b for (a, _, height), (b, _, _) in zip(rects, rects[1:]))
+        assert all(a + size <= b for (a, size), (b, _) in zip(labels, labels[1:]))
+        assert labels[0][0] == 44 and labels[-1][0] == 584
+        if count <= 46:
+            assert {(width, height) for _, width, height in rects} == {(14, 10)}
+            assert {size for _, size in labels} == {12}
+        else:
+            assert max(size for _, size in labels) < 12
         if count <= 31:
-            assert {b - a for a, b in zip(labels, labels[1:])} == {18}
+            assert {b - a for (a, _), (b, _) in zip(labels, labels[1:])} == {18}
 
     # d = 17 and 64 thin the x ticks, and 11 and 12 curves wrap the palette; out/ has neither.
     @pytest.mark.parametrize("d, count, label, digest", [

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from types import ModuleType
 
@@ -151,12 +152,36 @@ class TestLorenzCurve:
             LorenzCurve((Fraction(0), Fraction(1, 2), Fraction(2, 5), Fraction(1)))
 
     def test_bad_endpoints(self):
+        # S_0 is a numerator over the lcm 10, and shown as the value it stands for
+        with pytest.raises(BadEndpointsError, match=re.escape("S_0 must be 0, got Fraction(1, 10)")):
+            LorenzCurve(("1/10", "1/2", "1"))
         with pytest.raises(BadEndpointsError):
             LorenzCurve((Fraction(1, 10), Fraction(1, 2), Fraction(1)))
         with pytest.raises(BadEndpointsError):
             LorenzCurve((Fraction(0), Fraction(1, 2), Fraction(9, 10)))
         with pytest.raises(BadEndpointsError):
             LorenzCurve(iter(()))
+
+    # A binary tolerance, so that every sum and difference of these values is exact.
+    @pytest.mark.parametrize("values, error", [
+        ((1 / 1024, 0.75, 1.0), None),  # S_0 within tol of 0
+        ((1.5 / 1024, 0.75, 1.0), BadEndpointsError),
+        ((0.0, 0.75, 1 + 2 / 1024), None),  # S_d within tol * d of 1
+        ((0.0, 0.75, 1 + 2.5 / 1024), BadEndpointsError),
+        ((0.0, 1 + 1 / 1024, 1.0), None),  # a fall of tol
+        ((0.0, 1 + 1.5 / 1024, 1.0), NotMonotoneError),
+        ((0.0, 0.5 - 1 / 1024, 1.0), None),  # S_1 tol below the chord's midpoint
+        ((0.0, 0.5 - 1.5 / 1024, 1.0), NotConcaveError),
+    ], ids=["S_0-inside", "S_0-outside", "S_d-inside", "S_d-outside", "fall-inside", "fall-outside",
+            "concave-inside", "concave-outside"])
+    def test_float_slacks(self, values, error):
+        """Each float slack at its documented width: tol for S_0, a fall and the
+        distance below a chord's midpoint, tol * d for S_d."""
+        if error is None:
+            assert LorenzCurve(values, 1 / 1024).values == values
+        else:
+            with pytest.raises(error):
+                LorenzCurve(values, 1 / 1024)
 
     def test_value_at_interpolates(self):
         curve = partial_sums(make_vector(FIG_X))

@@ -270,6 +270,11 @@ class TestFamilies:
             with pytest.raises(InvalidExtremalError, match="dimension must be a positive integer"):
                 ExtremalFamily(d, (0, 1), (0, 1))
 
+    def test_upper_map_need_not_be_concave(self):
+        good = tuple(Fraction(k, 3) for k in range(4))
+        upper = (0, Fraction(1, 2), Fraction(2, 3), 1)  # 2 * 2/3 < 1/2 + 1
+        assert ExtremalFamily(3, good, upper).upper == upper
+
     def test_non_concave_lower_map_rejected_at_inf(self):
         # monotone and above the uniform curve, yet no family of Lorenz
         # curves can have these per-index infima; the family is rejected

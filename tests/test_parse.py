@@ -1,21 +1,22 @@
 """Parsing, entry checks and canonical text against the Fraction-only references in oracles.py.
 
-parse_scalar reads plain ASCII decimals directly in float mode (a minus sign only
-before a nonzero mantissa) and sends every other value through Fraction, and
-parse_values calls it on each value. make_vector reads every row through
-read_row, as numerators over one common denominator: a plain exact row whole
-as integer pairs, any other row one entry at a time through parse_scalar,
-whose Fractions or floats it keeps as entries;
-it normalizes and sorts the numerators and checks them once with
+parse_scalar reads a lone value: plain ASCII decimals directly in float mode (a
+minus sign only before a nonzero mantissa), every other value through Fraction.
+read_row is the one reader of a raw row, as numerators over one common
+denominator: a plain exact row whole as integer pairs, any other row one entry at
+a time through parse_scalar, whose Fractions or floats it keeps as entries.
+make_vector normalizes and sorts the numerators and checks them once with
 _check_numerators. That check raises the fault _numerators_fault finds in
 one pass over either mode, exact numerators one at a time, so its memory
 holds one numerator and the total; ball listing asks _numerators_fault
-about each candidate, over its own denominator, and raises nothing. All
-must behave exactly as the references do: equal values of the same type
-(the same repr in float mode, signed zero included) and the same
-exception class and message. scalar_str works on
-the numerator and denominator as integers and must give the reference's
-text, or its ValueError past the int-to-text digit limit.
+about each candidate, over its own denominator, and raises nothing.
+LorenzCurve, curve_to_vector, ExtremalFamily (its two maps as one row) and the
+coherence helpers (their parameter as a one-entry row) check the numerators
+read_row gives with _check_cumulative. All must behave exactly as the
+references do: equal values of the same type (the same repr in float mode,
+signed zero included) and the same exception class and message. scalar_str
+works on the numerator and denominator as integers and must give the
+reference's text, or its ValueError past the int-to-text digit limit.
 """
 
 import json
@@ -28,18 +29,36 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from majlat import OrderedProbVector, make_vector, numeric
+from majlat import (
+    ExtremalFamily,
+    LorenzCurve,
+    OrderedProbVector,
+    curve_to_vector,
+    first_component_family,
+    make_vector,
+    numeric,
+    ocr_first_component_bound,
+    ocr_two_block_superposition,
+    two_block_family,
+)
 from majlat.cli import main
 from majlat.core import _check_numerators, _numerators_fault
 from majlat.errors import MajlatError, NotNormalizedError
-from majlat.numeric import common_scale, parse_scalar, parse_values, scalar_str
+from majlat.numeric import common_scale, parse_scalar, read_row, scalar_str
 
 from .oracles import (
     reference_check_entries,
+    reference_curve_to_vector,
+    reference_extremal_family,
+    reference_first_component_family,
+    reference_lorenz_curve,
     reference_make_vector,
+    reference_ocr_first_component_bound,
+    reference_ocr_two_block_superposition,
     reference_parse_scalar,
     reference_parse_values,
     reference_scalar_str,
+    reference_two_block_family,
 )
 
 _sign = st.sampled_from(["", "-", "+"])
@@ -152,7 +171,7 @@ def _rows(draw):
 
 
 def _shown(outcome):
-    """A vector's or parse_values' entries by type and value, each float by repr (so
+    """A vector's or read_row's entries by type and value, each float by repr (so
     -0.0 is not 0.0), with the tolerance; or an error's class and message."""
     if isinstance(outcome, OrderedProbVector):
         entries, tol = outcome.entries, outcome.tol
@@ -191,13 +210,94 @@ def _shown(outcome):
 @example(["1" * 3000 + "." + "1" * 3000, "1"], 1e-12, False, True)  # past the digit limit
 @example(["0.75", _OwnFloat("0.25")], 1e-12, False, False)  # read as 0.25, not by its __float__
 def test_rows_match_per_entry_route(row, tol, sort, normalize):
-    """make_vector and parse_values on a whole row: the same vector or entries,
+    """make_vector and read_row on a whole row: the same vector or entries,
     Fractions or floats of the same repr, or the same error as parsing and
     checking one entry at a time."""
     got = _outcome(make_vector, row, tol=tol, sort=sort, normalize=normalize)
     want = _outcome(reference_make_vector, row, tol=tol, sort=sort, normalize=normalize)
     assert _shown(got) == _shown(want)
-    assert _shown(_outcome(parse_values, row, tol)) == _shown(_outcome(reference_parse_values, row, tol))
+    assert _shown(_outcome(_read_entries, row, tol)) == _shown(_outcome(reference_parse_values, row, tol))
+
+
+def _read_entries(row, tol):
+    """read_row's entries of row, and its tolerance."""
+    tol, _, _, entries = read_row(row, tol)
+    return tuple(entries), tol
+
+
+@st.composite
+def _sums(draw, d):
+    """S_0..S_d of d small weights over their total, as Fractions: usually sorted, so
+    the curve is concave, sometimes not, and sometimes moved at one index."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=d, max_size=d).filter(any))
+    if draw(st.integers(0, 3)):
+        weights.sort(reverse=True)
+    sums = [Fraction(sum(weights[:k]), sum(weights)) for k in range(d + 1)]
+    if not draw(st.integers(0, 4)):
+        sums[draw(st.integers(0, d))] += draw(st.sampled_from([Fraction(1, 10), Fraction(-1, 10), Fraction(1, 7)]))
+    return sums
+
+
+_STRAYS = ["-0", "1e-3", "abc", True, "5/0", " 1/2", 0.5, Fraction(1, 2), "1/3", 2]
+
+
+@st.composite
+def _raw(draw, values, tol):
+    """values as one kind of raw entry: ratio strings, decimal strings where they
+    terminate, Fractions with ints where whole, or floats, some of them nudged by
+    0.5, 1.5 or 2.5 times the float tolerance; sometimes one entry replaced by
+    another kind or a bad value."""
+    kind = draw(st.sampled_from(["ratio", "decimal", "fraction", "float"]))
+    if kind == "ratio":
+        raw = [f"{v.numerator}/{v.denominator}" for v in values]
+    elif kind == "decimal":
+        raw = [scalar_str(v) for v in values]
+    elif kind == "fraction":
+        raw = [int(v) if v.denominator == 1 else v for v in values]
+    else:
+        raw = [float(v) for v in values]
+        for i in draw(st.lists(st.integers(0, len(raw) - 1), max_size=3)):
+            raw[i] += draw(st.sampled_from([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])) * (tol or 1e-12)
+    if not draw(st.integers(0, 5)):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.sampled_from(_STRAYS))
+    return raw
+
+
+def _built(fn, *args, **kwargs):
+    """fn's result by class and fields, each scalar by type and repr, or the class and
+    message of the error it raises. A float alpha within tol above 1 at d = 1 passes
+    the range check and then divides by zero, in the reference as in the library."""
+    try:
+        built = fn(*args, **kwargs)
+    except (MajlatError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(built), [(name, [(type(e), repr(e)) for e in value] if isinstance(value, tuple) else value)
+                         for name, value in vars(built).items()]
+
+
+@given(st.data(), st.integers(1, 7), st.sampled_from([None, 0, 1e-12, 2**-10]))
+def test_curves_and_families_match_fraction_checks(data, d, tol):
+    """LorenzCurve, curve_to_vector and ExtremalFamily on raw rows, and the four
+    coherence helpers on a raw parameter, give the fields or errors of their
+    references, which parse value by value and check Fractions or floats."""
+    lower, upper = data.draw(_sums(d)), data.draw(_sums(d))
+    if data.draw(st.integers(0, 3)):
+        lower, upper = list(map(min, lower, upper)), list(map(max, lower, upper))
+    raw = data.draw(_raw(lower + upper, tol))
+    curve = raw[: d + 1]
+    assert _built(LorenzCurve, curve, tol) == _built(reference_lorenz_curve, curve, tol)
+    assert _built(curve_to_vector, curve) == _built(reference_curve_to_vector, curve)
+    assert _built(ExtremalFamily, d, curve, raw[d + 1 :], tol) == _built(
+        reference_extremal_family, d, curve, raw[d + 1 :], tol)
+    (alpha,) = data.draw(_raw([data.draw(st.fractions(0, Fraction(6, 5), max_denominator=20))], tol))
+    d1 = data.draw(st.integers(1, d))
+    for fn, reference, args in (
+        (ocr_first_component_bound, reference_ocr_first_component_bound, (alpha, d)),
+        (first_component_family, reference_first_component_family, (alpha, d)),
+        (ocr_two_block_superposition, reference_ocr_two_block_superposition, (d1, d, alpha)),
+        (two_block_family, reference_two_block_family, (d1, d, alpha)),
+    ):
+        assert _built(fn, *args, tol=tol) == _built(reference, *args, tol=tol)
 
 
 # The primes below 1020: every entry of a d = 64 vector over them has its own
