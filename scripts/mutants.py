@@ -145,24 +145,27 @@ MUTANTS = [
      ["tests/test_parse.py::test_declined_row_keeps_parsed_entries"]),
     ("make_vector's numerators unchecked", "core.py",
      [("    _check_numerators(numerators, one, tol, len(values))\n", "")], [ROWS]),
-    # The curve rule (core._check_cumulative) on read_row's numerators, for LorenzCurve and
-    # ExtremalFamily, and the order of the two maps.
-    ("S_d against 1, not one", "core.py", [("eq(values[-1], one, tol * d)", "eq(values[-1], 1, tol * d)")],
-     [CURVES]),
-    ("concavity without 2 *", "core.py",
-     [("geq(2 * values[k], values[k - 1]", "geq(values[k], values[k - 1]")], [CURVES]),
+    # The curve rule (core._check_cumulative): S_0, then the steps by the vector rule, for
+    # LorenzCurve and ExtremalFamily, and the order of the two maps.
     ("upper map checked as concave", "lattice.py",
      [('("upper", numerators[d + 1 :], False)', '("upper", numerators[d + 1 :], True)')], [EXTREMAL]),
     ("order of the two maps unchecked", "lattice.py",
      [("        for k in range(d + 1):\n            if not geq(numerators[d + 1 + k], numerators[k], tol):\n"
        '                raise InvalidExtremalError(f"upper map below lower map at k={k}")\n', "")], [EXTREMAL]),
-    ("S_d slack tol, not tol * d", "core.py", [("eq(values[-1], one, tol * d)", "eq(values[-1], one, tol)")],
-     [CURVES]),
-    ("concavity slack tol, not 2 * tol", "core.py",
-     [("values[k + 1], 2 * tol)", "values[k + 1], tol)")], [CURVES]),
-    ("monotone slack tol * d", "core.py", [("if not geq(b, a, tol):", "if not geq(b, a, tol * d):")], [CURVES]),
     ("S_0 shown as its numerator", "core.py",
      [("got {_shown_entry(values[0], one, tol)}", "got {shown(values[0])}")], [CURVES]),
+    ("upper map's steps left unsorted", "core.py",
+     [("    if not concave:\n        steps = sorted(steps, reverse=True)\n", "")], [EXTREMAL]),
+    ("curve classes of a fall and a rise swapped", "core.py",
+     [("NegativeEntryError: NotMonotoneError, NotSortedError: NotConcaveError",
+       "NegativeEntryError: NotConcaveError, NotSortedError: NotMonotoneError")], [CURVES]),
+    ("S_0 unchecked", "core.py",
+     [("    if not eq(values[0], 0, tol):\n"
+       '        raise BadEndpointsError(f"S_0 must be 0, got {_shown_entry(values[0], one, tol)}")\n', "")],
+     [CURVES]),
+    ("step sum slack tol * (d + 1)", "core.py",
+     [("_numerators_fault(steps, one, tol, len(steps))", "_numerators_fault(steps, one, tol, len(values))")],
+     [CURVES]),
     # The one mode rule (numeric.resolve_mode).
     ("bool tolerance read as a number", "numeric.py",
      [("        if isinstance(tol, bool):  # float(True) would be a tolerance of 1.0\n"

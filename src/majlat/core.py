@@ -123,7 +123,8 @@ class LorenzCurve(_Frozen):
     """Cumulative values (S_0 = 0, ..., S_d = 1) of a sorted vector.
 
     The curve itself is the piecewise-linear interpolation through the
-    integer points; it is non-decreasing and concave by invariant.
+    integer points. S_0 is 0 and the steps S_k - S_{k-1} pass the vector
+    rule, so curve_to_vector gives a vector that make_vector accepts.
     """
 
     _fields = ("values", "tol")
@@ -202,26 +203,24 @@ def _shown_entry(n: Scalar, one: Scalar, tol: float) -> str:
     return shown(Fraction(n, one) if tol == 0 else n)
 
 
+_CURVE_ERRORS = {NegativeEntryError: NotMonotoneError, NotSortedError: NotConcaveError,
+                 NotNormalizedError: BadEndpointsError}
+
+
 def _check_cumulative(values: Sequence[Scalar], one: Scalar, tol: float, concave: bool = True) -> None:
-    """Endpoint, monotonicity and (optionally) concavity checks of S_0..S_d as numerators
-    over one, from read_row, shown as _numerators_fault shows entries. S_0 is checked
-    against 0, S_d against one within tol * d, and concavity at k as 2 * S_k >= S_{k-1} +
-    S_{k+1} within 2 * tol: exact on integers, and in float mode the decisions of the
-    midpoint test within tol, since doubling is exact."""
-    d = len(values) - 1
+    """S_0..S_d as numerators over one, from read_row: S_0 within tol of 0, then the steps
+    S_k - S_{k-1} (the entries curve_to_vector returns) by the vector rule of _numerators_fault,
+    sorted first when not concave (an upper extremal map), as make_vector(sort=True) sorts. A
+    negative step raises NotMonotoneError, a rise NotConcaveError, a bad sum BadEndpointsError."""
     if not eq(values[0], 0, tol):
         raise BadEndpointsError(f"S_0 must be 0, got {_shown_entry(values[0], one, tol)}")
-    if not eq(values[-1], one, tol * d):
-        raise BadEndpointsError(f"S_d must be 1, got {_shown_entry(values[-1], one, tol)}")
-    for a, b in pairwise(values):
-        if not geq(b, a, tol):
-            shown_a, shown_b = _shown_entry(a, one, tol), _shown_entry(b, one, tol)
-            raise NotMonotoneError(f"cumulative values decrease: {shown_a} > {shown_b}")
+    steps = _differences(values)
     if not concave:
-        return
-    for k in range(1, d):
-        if not geq(2 * values[k], values[k - 1] + values[k + 1], 2 * tol):
-            raise NotConcaveError(f"concavity fails at index {k}")
+        steps = sorted(steps, reverse=True)
+    fault = _numerators_fault(steps, one, tol, len(steps))
+    if fault:
+        error = fault()
+        raise _CURVE_ERRORS[type(error)](f"steps S_k - S_(k-1): {error}")
 
 
 def _trusted(cls, **fields):
@@ -314,8 +313,8 @@ def partial_sums(x: OrderedProbVector) -> LorenzCurve:
 def curve_to_vector(curve) -> OrderedProbVector:
     """Finite differences of a Lorenz curve; inverse of partial_sums.
 
-    Accepts a LorenzCurve or a raw cumulative sequence (which is then
-    validated, raising BadEndpoints/NotMonotone/NotConcave as needed).
+    Accepts a LorenzCurve or a raw cumulative sequence, which LorenzCurve
+    checks first: its steps are the entries returned, by the vector rule.
     """
     if not isinstance(curve, LorenzCurve):
         curve = LorenzCurve(curve)

@@ -135,11 +135,11 @@ def optimal_common_resource(family, theory: ResourceTheory) -> OrderedProbVector
 
 def _check_alpha(alpha: object, d: int, tol: float | None):
     _check_dimension(d)
-    tol_eff, _, _, (a,) = read_row((alpha,), tol)
-    one = a * 0 + 1
-    if not (lt(0, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
-        raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(a)}")
-    a = min(a, one)  # a value accepted within tolerance above 1 is 1
+    tol_eff, _, _, (given,) = read_row((alpha,), tol)
+    one = given * 0 + 1
+    a = min(given, one)  # a value within tolerance above 1 counts as 1
+    if not (lt(0, given, tol_eff) and leq(given, one, tol_eff) and lt(one / d, a * a, tol_eff)):
+        raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(given)}")
     return a * a, tol_eff
 
 

@@ -96,24 +96,24 @@ def reference_make_vector(raw, *, normalize=False, sort=False, tol=None):
     return _trusted(OrderedProbVector, entries=entries, tol=tol)
 
 
+_CURVE_ERRORS = {NegativeEntryError: NotMonotoneError, NotSortedError: NotConcaveError,
+                 NotNormalizedError: BadEndpointsError}
+
+
 def reference_check_cumulative(values, tol, concave=True):
-    """core._check_cumulative as it was before it checked numerators over one:
-    endpoint, monotonicity and (optionally) concavity checks of parsed S_0..S_d,
-    in Fraction or float arithmetic."""
-    d = len(values) - 1
-    zero = values[0] * 0
-    if not eq(values[0], zero, tol):
+    """core._check_cumulative on parsed S_0..S_d, in Fraction or float arithmetic:
+    S_0 within tol of 0, then reference_check_entries on the steps S_k - S_{k-1}
+    (sorted non-increasing when not concave), its error raised as the curve class
+    that fault stands for, with the library's message."""
+    if not eq(values[0], values[0] * 0, tol):
         raise BadEndpointsError(f"S_0 must be 0, got {shown(values[0])}")
-    if not eq(values[-1], zero + 1, tol * d):
-        raise BadEndpointsError(f"S_d must be 1, got {shown(values[-1])}")
-    for a, b in zip(values, values[1:]):
-        if not geq(b, a, tol):
-            raise NotMonotoneError(f"cumulative values decrease: {shown(a)} > {shown(b)}")
+    steps = [b - a for a, b in zip(values, values[1:])]
     if not concave:
-        return
-    for k in range(1, d):
-        if not geq(values[k], (values[k - 1] + values[k + 1]) / 2, tol):
-            raise NotConcaveError(f"concavity fails at index {k}")
+        steps.sort(reverse=True)
+    try:
+        reference_check_entries(steps, tol)
+    except tuple(_CURVE_ERRORS) as exc:
+        raise _CURVE_ERRORS[type(exc)](f"steps S_k - S_(k-1): {exc}") from exc
 
 
 def reference_lorenz_curve(values, tol=0.0):
@@ -155,12 +155,12 @@ def reference_extremal_family(d, lower, upper, tol=0.0):
 
 def _reference_check_alpha(alpha, d, tol):
     _check_dimension(d)
-    (a,), tol_eff = reference_parse_values((alpha,), tol)
-    zero = a * 0
+    (given,), tol_eff = reference_parse_values((alpha,), tol)
+    zero = given * 0
     one = zero + 1
-    if not (lt(zero, a, tol_eff) and leq(a, one, tol_eff) and lt(one / d, a * a, tol_eff)):
-        raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(a)}")
-    a = min(a, one)
+    a = min(given, one)
+    if not (lt(zero, given, tol_eff) and leq(given, one, tol_eff) and lt(one / d, a * a, tol_eff)):
+        raise AlphaOutOfRangeError(f"need 1/sqrt({d}) < alpha <= 1, got {shown(given)}")
     return a * a, tol_eff
 
 

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from types import ModuleType
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -12,6 +13,7 @@ from majlat import (
     DimensionMismatchError,
     EmptyInputError,
     ExtremalFamily,
+    InvalidExtremalError,
     LorenzCurve,
     MajOrdering,
     ModeMismatchError,
@@ -170,18 +172,52 @@ class TestLorenzCurve:
         ((0.0, 0.75, 1 + 2.5 / 1024), BadEndpointsError),
         ((0.0, 1 + 1 / 1024, 1.0), None),  # a fall of tol
         ((0.0, 1 + 1.5 / 1024, 1.0), NotMonotoneError),
-        ((0.0, 0.5 - 1 / 1024, 1.0), None),  # S_1 tol below the chord's midpoint
-        ((0.0, 0.5 - 1.5 / 1024, 1.0), NotConcaveError),
+        ((0.0, 0.5 - 0.5 / 1024, 1.0), None),  # a rise of tol between the steps
+        ((0.0, 0.5 - 0.75 / 1024, 1.0), NotConcaveError),
     ], ids=["S_0-inside", "S_0-outside", "S_d-inside", "S_d-outside", "fall-inside", "fall-outside",
             "concave-inside", "concave-outside"])
     def test_float_slacks(self, values, error):
-        """Each float slack at its documented width: tol for S_0, a fall and the
-        distance below a chord's midpoint, tol * d for S_d."""
+        """Each float slack at its documented width: tol for S_0, a fall of S_k and a
+        rise between its steps, tol * d for the sum of the steps."""
         if error is None:
             assert LorenzCurve(values, 1 / 1024).values == values
         else:
             with pytest.raises(error):
                 LorenzCurve(values, 1 / 1024)
+
+    def test_steps_follow_the_vector_rule(self):
+        """A curve within its own slacks whose steps make_vector refuses is refused too,
+        as the curve error the step fault stands for."""
+        with pytest.raises(NotConcaveError, match=re.escape("entries increase: 0.4 < 0.40000000000150004")):
+            LorenzCurve([0.0, 0.4, 0.8 + 1.5e-12, 1.0], tol=1e-12)
+        with pytest.raises(BadEndpointsError, match=re.escape("entries sum to 1.0029296875, expected 1")):
+            LorenzCurve([-1 / 1024, 0.5, 1 + 2 / 1024], tol=1 / 1024)
+        with pytest.raises(NotMonotoneError, match=re.escape("negative entry Fraction(-1, 10)")):
+            LorenzCurve((0, "1/2", "2/5", 1))
+        with pytest.raises(InvalidExtremalError, match=re.escape("upper map: steps S_k - S_(k-1): entries sum")):
+            ExtremalFamily(2, (0, "1/2", 1), (0, 1, "11/10"))
+
+    @given(st.data(), st.integers(1, 6), st.sampled_from([2**-10, 1e-9, 1e-12]))
+    def test_accepted_curves_difference_into_vectors(self, data, d, tol):
+        """Float curves and lower maps with every S_k moved by up to 1.5 tol: each one
+        accepted differences into a vector that make_vector accepts; an accepted
+        family's upper map does so once sorted."""
+        weights = sorted(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)), reverse=True)
+        nudges = data.draw(st.lists(st.sampled_from([-3, -2, -1, 0, 1, 2, 3]), min_size=d + 1, max_size=d + 1))
+        sums = [sum(weights[:k]) / sum(weights) + n * tol / 2 for k, n in enumerate(nudges)]
+        try:
+            curve = LorenzCurve(sums, tol)
+        except (BadEndpointsError, NotMonotoneError, NotConcaveError):
+            pass
+        else:
+            make_vector(curve_to_vector(curve).entries, tol=curve.tol)
+        upper = [0.0] + data.draw(st.lists(st.sampled_from([1.0, 1 + tol]), min_size=d, max_size=d))
+        try:
+            family = ExtremalFamily(d, sums, upper, tol)
+        except InvalidExtremalError:
+            return
+        make_vector([b - a for a, b in zip(family.lower, family.lower[1:])], tol=tol)
+        make_vector([b - a for a, b in zip(family.upper, family.upper[1:])], sort=True, tol=tol)
 
     def test_value_at_interpolates(self):
         curve = partial_sums(make_vector(FIG_X))

@@ -10,9 +10,9 @@ _check_numerators. That check raises the fault _numerators_fault finds in
 one pass over either mode, exact numerators one at a time, so its memory
 holds one numerator and the total; ball listing asks _numerators_fault
 about each candidate, over its own denominator, and raises nothing.
-LorenzCurve, curve_to_vector, ExtremalFamily (its two maps as one row) and the
-coherence helpers (their parameter as a one-entry row) check the numerators
-read_row gives with _check_cumulative. All must behave exactly as the
+LorenzCurve, curve_to_vector and ExtremalFamily (its two maps as one row) check
+the numerators read_row gives with _check_cumulative: S_0, then the steps by the
+vector rule. The coherence helpers read their parameter as a one-entry row. All must behave exactly as the
 references do: equal values of the same type (the same repr in float mode,
 signed zero included) and the same exception class and message. scalar_str
 works on the numerator and denominator as integers and must give the
@@ -265,11 +265,10 @@ def _raw(draw, values, tol):
 
 def _built(fn, *args, **kwargs):
     """fn's result by class and fields, each scalar by type and repr, or the class and
-    message of the error it raises. A float alpha within tol above 1 at d = 1 passes
-    the range check and then divides by zero, in the reference as in the library."""
+    message of the MajlatError it raises."""
     try:
         built = fn(*args, **kwargs)
-    except (MajlatError, ZeroDivisionError) as exc:
+    except MajlatError as exc:
         return type(exc), str(exc)
     return type(built), [(name, [(type(e), repr(e)) for e in value] if isinstance(value, tuple) else value)
                          for name, value in vars(built).items()]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,14 @@ class TestFirstComponentBound:
             ocr_first_component_bound(Fraction(-3, 4), 4)
         with pytest.raises(AlphaOutOfRangeError):
             ocr_first_component_bound(1, 1)  # needs alpha > 1 in dimension 1
+
+    @pytest.mark.parametrize("alpha", [1 + 0.5e-12, "1.0000000000005"], ids=["float", "string"])
+    @pytest.mark.parametrize("helper", [ocr_first_component_bound, first_component_family])
+    def test_alpha_within_tol_above_one_at_d_1(self, helper, alpha):
+        """An alpha accepted within tol above 1 is 1, so at d = 1 it is out of range too,
+        and the message shows the alpha as given."""
+        with pytest.raises(AlphaOutOfRangeError, match=re.escape("got 1.0000000000005")):
+            helper(alpha, 1, tol=1e-12)
 
 
 class TestTwoBlockSuperposition:
