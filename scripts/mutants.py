@@ -38,6 +38,9 @@ LISTING = "tests/test_polytope.py::TestBallVertices::test_listing_matches_refere
 FACETS = "tests/test_polytope.py::TestBallVertices::test_listing_matches_facet_enumeration"
 CLOSED = "tests/test_polytope.py::TestClosedFormsMatchVertexFold"
 POINT = "tests/test_polytope.py::TestApproximations::test_float_radius_within_tol_is_a_point"
+BELOW_ZERO = "tests/test_polytope.py::TestBallVertices::test_float_radius_within_tol_below_zero_is_the_center"
+CAP = "tests/test_polytope.py::TestBallVertices::test_dimension_cap_admits_its_own_dimension"
+SCALAR_STR = "tests/test_parse.py::test_scalar_str_matches_fraction_route"
 CURVES = "tests/test_core.py::TestLorenzCurve"
 EXTREMAL = "tests/test_lattice.py::TestFamilies"
 
@@ -77,6 +80,8 @@ MUTANTS = [
      [("(eps + sum(c if s == 1", "(sum(c if s == 1")], [LISTING]),
     ("positivity facet left out of the pool", "polytope.py",
      [("    pool.append(unit[-1] + (zero,))  # positivity facet x_d = 0\n", "")], [FACETS, LISTING]),
+    ("listing cap refuses d = MAX_DIMENSION", "polytope.py", [("if d > MAX_DIMENSION:", "if d >= MAX_DIMENSION:")],
+     [CAP]),
     # The fraction-free elimination of ball vertex listing (polytope.solve_square).
     ("q without the one factor", "polytope.py", [("return one * lcm, ", "return lcm, ")], [SOLVE]),
     ("numerators over |a_ii|", "polytope.py",
@@ -86,6 +91,8 @@ MUTANTS = [
     ("singular column not detected", "polytope.py", [("        else:\n            return None\n", "")], [SOLVE]),
     ("given rows eliminated in place", "polytope.py", [("    rows = list(rows)\n", "")], [SOLVE]),
     # The O(d) closed forms of the ball bounds (steepest_approx, flattest_approx, _water_level).
+    ("radius test without its slack", "polytope.py",
+     [("if lt(radius, 0, center.tol):", "if radius < 0:")], [BELOW_ZERO]),
     ("float radius within tol not a point", "polytope.py",
      [("return leq(ball.radius, 0, ball.center.tol)", "return ball.radius == 0")], [POINT]),
     ("steepest without the 1 - out[0] cap", "polytope.py",
@@ -102,21 +109,32 @@ MUTANTS = [
      [("    if half >= sum(e - share for e in x if e > share):\n        return uniform\n", "")], [CLOSED]),
     # The exact kernels on integer numerators over one common denominator.
     ("unscale as v / one", "numeric.py",
-     [("tuple(Fraction(v, one) for v in values)", "tuple(v / one for v in values)")], [KERNELS]),
+     [("tuple(map(Fraction, values, repeat(one)))", "tuple(v / one for v in values)")], [KERNELS]),
+    ("differences taken backwards", "core.py", [("map(sub, sums[1:], sums)", "map(sub, sums, sums[1:])")], [KERNELS]),
     ("PAV means as total / (count * one)", "lattice.py",
      [("Fraction(total, count * one) if tol == 0", "total / (count * one) if tol == 0")], [KERNELS]),
     ("one from the first row only", "numeric.py",
-     [("one = math.lcm(*[math.lcm(*[e.denominator for e in row]) for row in rows])",
-       "one = math.lcm(*[e.denominator for e in rows[0]])")], [KERNELS]),
+     [("one = math.lcm(*[q for row in pairs for _, q in row])", "one = math.lcm(*[q for _, q in pairs[0]])")],
+     [KERNELS]),
     ("ascending sort of squares", "resource_theory.py",
      [("for part in parts), reverse=True)", "for part in parts), reverse=False)")], [KERNELS]),
     ("compare drops one more prefix sum", "core.py",
-     [("accumulate(ry)))[:-1]", "accumulate(ry)))[:-2]")], [KERNELS]),
+     [("accumulate(ry))][:-1]", "accumulate(ry))][:-2]")], [KERNELS]),
+    ("compare gaps against +tol", "core.py",
+     [("min(gaps, default=0) >= -tol", "min(gaps, default=0) >= tol")], [KERNELS]),
+    ("amplitude pair squared as one component", "resource_theory.py",
+     [("next(c) + next(c) if len(part) == 2", "next(c) if len(part) == 2")], [KERNELS]),
     ("float PAV with tol 0", "lattice.py",
      [("lt(below / size, total / count, tol)", "lt(below / size, total / count, 0)")], [KERNELS]),
+    ("lt without its float slack", "numeric.py", [("return a < b if tol == 0", "return a < b if tol != 0")],
+     ["tests/test_lattice.py::TestMeetJoin::test_float_join_pools_only_past_tol",
+      "tests/test_resource_theory.py::TestFirstComponentBound::"
+      "test_float_alpha_squared_within_tol_above_one_over_d_refused"]),
     # The plain float reader and the canonical text of a value.
-    ("padded scale", "numeric.py", [("scale = max(twos, fives)", "scale = max(twos, fives) + 1")],
-     ["tests/test_parse.py::test_scalar_str_matches_fraction_route"]),
+    ("padded scale", "numeric.py", [("scale = max(twos, fives)", "scale = max(twos, fives) + 1")], [SCALAR_STR]),
+    ("power of five one low", "numeric.py",
+     [("fives = round((rest.bit_length() - 1) / _LOG2_5)", "fives = math.floor((rest.bit_length() - 1) / _LOG2_5)")],
+     [SCALAR_STR]),
     ("plain float exponents of five digits", "numeric.py",
      [("{len(str(MAX_DECIMAL_EXPONENT)) - 1}", "{len(str(MAX_DECIMAL_EXPONENT))}")], [SPECIAL]),
     ("signed zeros read as plain floats", "numeric.py", [('rf"(?:\\+|-(?=[0-9.]*[1-9]))?', 'rf"[-+]?')], [SPECIAL]),
@@ -130,6 +148,10 @@ MUTANTS = [
     ("no digit-limit decline", "numeric.py",
      [("if limit and len(text) > limit and max(map(len, values)) > limit:", "if False:")], [ROWS]),
     ("zero denominators read", "numeric.py", [("/0*[1-9][0-9]*)?", "/[0-9]+)?")], [ROWS]),
+    ("_plain_pairs always declining", "numeric.py",
+     [("    except TypeError:  # a value that is no str\n        return None\n",
+       "    except TypeError:  # a value that is no str\n        return None\n    return None\n")],
+     ["tests/test_parse.py::test_plain_exact_row_is_read_whole"]),
     ("exact normalize leaves one unchanged", "core.py",
      [("one, numerators = (total, numerators) if tol == 0", "one, numerators = (one, numerators) if tol == 0")],
      [ROWS]),
@@ -180,6 +202,8 @@ EQUIVALENT = [
      "at a tie both water levels reach 1/d, which is the uniform vector"),
     ("water level stops only past a tie (<)", "polytope.py", "entries[k] <= level -> <",
      "an entry equal to the level leaves the level unchanged when it is taken in"),
+    ("scalar_str without its early exit", "numeric.py", "drop the rest % 5 test",
+     "a rest that 5 does not divide and that is not 1 fails 5**fives == rest too; only time changes"),
 ]
 
 

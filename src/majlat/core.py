@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate
+from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -34,7 +35,6 @@ from .numeric import (
     common_scale,
     cumulative_sums,
     eq,
-    geq,
     parse_scalar,
     read_row,
     resolve_mode,
@@ -297,7 +297,7 @@ def bottom(d: int, *, tol: float | None = None) -> OrderedProbVector:
 
 def _differences(sums: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Finite differences S_1 - S_0, ..., S_d - S_{d-1} of cumulative values."""
-    return tuple(b - a for a, b in pairwise(sums))
+    return tuple(map(sub, sums[1:], sums))
 
 
 def _from_sums(sums: Sequence[Scalar], tol: float) -> OrderedProbVector:
@@ -335,12 +335,15 @@ def compare(x: OrderedProbVector, y: OrderedProbVector) -> MajOrdering:
 
     The k = d sums agree for probability vectors, so they never decide.
     Exact prefix sums are integer numerators over one common denominator.
+    The gaps S_k(x) - S_k(y) are taken once; x dominates when none is below
+    -tol, y when none is above tol. A float b - a is exactly -(a - b), so
+    these are the tests b - a <= tol and a - b <= tol of numeric.geq.
     """
     tol = pair_tolerance(x, y)
     _, (rx, ry) = common_scale((x.entries, y.entries), tol)
-    sums = tuple(zip(accumulate(rx), accumulate(ry)))[:-1]
-    x_dominates = all(geq(a, b, tol) for a, b in sums)
-    y_dominates = all(geq(b, a, tol) for a, b in sums)
+    gaps = [a - b for a, b in zip(accumulate(rx), accumulate(ry))][:-1]
+    x_dominates = min(gaps, default=0) >= -tol
+    y_dominates = max(gaps, default=0) <= tol
     if x_dominates and y_dominates:
         return MajOrdering.EQUAL
     if x_dominates:

@@ -23,7 +23,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate, starmap
+from itertools import accumulate, repeat, starmap
 from typing import Iterable, Sequence, Union
 
 from .errors import ModeMismatchError, ParseError
@@ -31,6 +31,7 @@ from .errors import ModeMismatchError, ParseError
 Scalar = Union[Fraction, float]
 
 DEFAULT_FLOAT_TOL = 1e-12
+_LOG2_5 = math.log2(5)  # scalar_str's exponent of a power of five from its bit length
 
 # Largest decimal exponent magnitude of a scalar string. Fraction("1e<n>") builds 10**n
 # before any digit limit applies: minutes at n = 10**8, 0.4 ms at n = 10**4.
@@ -204,24 +205,26 @@ def lt(a: Scalar, b: Scalar, tol: float) -> bool:
 def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, Sequence[Iterable[Scalar]]]:
     """Rows over one common denominator: (one, each row's numerators).
 
-    Exact mode takes one = the lcm of every denominator in the rows and
-    yields each entry n/q lazily, one at a time, as the integer
-    n * (one // q): integers that add, compare and sort as the Fractions
-    do, at a fraction of the cost. Float mode returns the rows themselves,
-    with one = 1.0. read_row gives a raw row's numerators by this rule, from
-    the integer pairs of a plain exact row or from its parsed entries.
+    Exact mode reads each entry once as its pair (n, q) by
+    as_integer_ratio(), takes one = the lcm of every q in the rows and
+    yields each entry lazily, one at a time, as the integer n * (one // q):
+    integers that add, compare and sort as the Fractions do, at a fraction
+    of the cost. Float mode returns the rows themselves, with one = 1.0.
+    read_row gives a raw row's numerators by this rule, from the integer
+    pairs of a plain exact row or from its parsed entries.
     """
     if tol:
         return 1.0, rows
-    one = math.lcm(*[math.lcm(*[e.denominator for e in row]) for row in rows])
-    return one, [(e.numerator * (one // e.denominator) for e in row) for row in rows]
+    pairs = [[e.as_integer_ratio() for e in row] for row in rows]
+    one = math.lcm(*[q for row in pairs for _, q in row])
+    return one, [(n * (one // q) for n, q in row) for row in pairs]
 
 
 def unscale(values: Iterable[Scalar], one: Scalar, tol: float) -> tuple[Scalar, ...]:
     """Numerators over one back to entries: Fraction(v, one) in exact mode, the values in float mode."""
     if tol:
         return tuple(values)
-    return tuple(Fraction(v, one) for v in values)
+    return tuple(map(Fraction, values, repeat(one)))
 
 
 def cumulative_sums(entries: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -248,27 +251,21 @@ def scalar_str(value: Scalar) -> str:
     when q = 2**a * 5**b; its digits are then the integer p * 10**s / q with
     s = max(a, b) decimal places, none of them a trailing zero because
     p/q is in lowest terms. Past the int-to-text digit limit, str() of the
-    digits or of p raises ValueError. Finding b takes O(log b) big-int
-    steps: q is divided by 5, 5**2, 5**4, ... while each divides, then by
-    the same powers back down.
+    digits or of p raises ValueError. The odd part r = q >> a is a power of
+    five only if r is 1 or divisible by 5; then the one candidate b is
+    round(log2(r) / log2(5)), with log2(r) taken as r.bit_length() - 1, and
+    one big-int power tests 5**b == r. That quotient lies less than 0.431
+    below b, so float rounding could pick another b only past b = 10**14.
     """
     if isinstance(value, float):
         return repr(value)
-    p, q = value.numerator, value.denominator
+    p, q = value.as_integer_ratio()
     twos = (q & -q).bit_length() - 1
     rest = q >> twos
-    fives, powers, power = 0, [], 5
-    while rest % power == 0:
-        rest //= power
-        fives += 1 << len(powers)
-        powers.append(power)
-        power *= power
-    while powers:
-        power = powers.pop()
-        if rest % power == 0:
-            rest //= power
-            fives += 1 << len(powers)
-    if rest != 1:
+    if rest % 5 and rest != 1:
+        return f"{p}/{q}"
+    fives = round((rest.bit_length() - 1) / _LOG2_5)
+    if 5**fives != rest:
         return f"{p}/{q}"
     scale = max(twos, fives)
     sign = "-" if p < 0 else ""

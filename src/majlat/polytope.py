@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from .core import OrderedProbVector, _Frozen, _numerators_fault, _trusted, bottom
 from .errors import DimensionTooLargeError, NegativeRadiusError
 from .lattice import _members, family_inf, family_sup
-from .numeric import Scalar, common_scale, leq, parse_scalar, shown, unscale
+from .numeric import Scalar, common_scale, leq, lt, parse_scalar, shown, unscale
 
 MAX_DIMENSION = 10  # vertex listing cost explodes beyond this; the bounds need no cap
 
@@ -54,7 +54,7 @@ class Ball(_Frozen):
 
     def __init__(self, center: OrderedProbVector, radius: Scalar):
         radius = parse_scalar(radius, center.is_exact)
-        if radius < 0:
+        if lt(radius, 0, center.tol):  # a float radius within tol below 0 is a point, as _is_point says
             raise NegativeRadiusError(f"radius must be non-negative, got {shown(radius)}")
         self.__dict__.update(center=center, radius=radius)
 

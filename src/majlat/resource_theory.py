@@ -12,7 +12,6 @@ descriptors.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import islice
 from typing import Sequence
 
 from .core import OrderedProbVector, _check_dimension, _check_numerators, _Frozen, _trusted, make_vector
@@ -101,8 +100,8 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         parts = _amplitude_components(spec.amplitudes)
         values = [c for part in parts for c in part]
         tol, one, numerators, _ = read_row(values, tol)
-        components = iter(numerators)  # each squared modulus takes its own parts
-        squares = sorted((sum(c * c for c in islice(components, len(part))) for part in parts), reverse=True)
+        c = (n * n for n in numerators)  # each squared modulus takes its own parts, in order
+        squares = sorted((next(c) + next(c) if len(part) == 2 else next(c) for part in parts), reverse=True)
         # Squares are never negative, so only the unit-sum test can fail here.
         _check_numerators(squares, one * one, tol, len(squares))
         return _trusted(OrderedProbVector, entries=unscale(squares, one * one, tol), tol=tol)

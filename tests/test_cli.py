@@ -131,6 +131,15 @@ class TestCommands:
         assert code == 0
         assert read_result(out)["result"]["vectors"] == [["0.6", "0.35", "0.05"]]
 
+    @pytest.mark.parametrize("eps, code", [("-5e-13", 0), ("-2e-12", 1)])
+    def test_float_ball_radius_within_tol_below_zero(self, eps, code, tmp_path):
+        # within the default 1e-12 below zero the ball is its center; further below is an error
+        out = tmp_path / "result.json"
+        argv = ("ball", "--center", "0.5,0.5", f"--eps={eps}", "--mode", "float", "--sup", "-o", str(out))
+        assert run_cli(*argv) == code
+        if code == 0:
+            assert read_result(out)["result"]["vectors"] == [["0.5", "0.5"]]
+
     def test_ball_vertices_default(self, tmp_path):
         out = tmp_path / "result.json"
         code = run_cli("ball", "--center", "0.525,0.35,0.125", "--eps", "0.15",

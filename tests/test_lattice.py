@@ -106,6 +106,11 @@ class TestMeetJoin:
         x, y = pair
         assert join(x, y) == family_sup((x, y))
 
+    def test_float_join_pools_only_past_tol(self):
+        # the last entry rises by 8e-13 < tol over the one before, so no block is pooled
+        y = make_vector([0.5, 0.25 - 4e-13, 0.25 + 4e-13], tol=1e-12)
+        assert join(y, y).entries == y.entries
+
     def test_join_on_long_pooled_run(self):
         # the max-prefix-sum differences pool into long blocks one value at a time
         d = 400

@@ -399,6 +399,15 @@ def test_declined_row_keeps_parsed_entries(row, monkeypatch):
     assert all(e is r for e, r in zip(entries, returned))
 
 
+def test_plain_exact_row_is_read_whole(monkeypatch):
+    """A row of plain decimal and ratio strings takes _plain_pairs' route, never parse_scalar."""
+    def refuse(value, exact):
+        raise AssertionError(f"parse_scalar called on {value!r}")
+
+    monkeypatch.setattr(numeric, "parse_scalar", refuse)
+    assert make_vector(["1/2", "0.25", "1/4"]).entries == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+
+
 @pytest.mark.parametrize("raw, shown", [
     (["1", "-0"], "[1.0, 0.0]"),
     (["1", "-0.000e7"], "[1.0, 0.0]"),

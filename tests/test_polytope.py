@@ -273,9 +273,24 @@ class TestBallVertices:
         with pytest.raises(DimensionTooLargeError):
             ball_vertices(Ball(center, "0.1"))
 
+    def test_dimension_cap_admits_its_own_dimension(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_candidates", lambda *args: iter(()))
+        center = make_vector([Fraction(1, polytope.MAX_DIMENSION)] * polytope.MAX_DIMENSION)
+        assert ball_vertices(Ball(center, "0.1")).vertices == ()
+
     def test_negative_radius_rejected(self):
         with pytest.raises(NegativeRadiusError):
             Ball(make_vector(CENTER), "-0.1")
+
+    def test_float_radius_within_tol_below_zero_is_the_center(self):
+        center = make_vector([0.5, 0.5], tol=1e-12)
+        ball = Ball(center, -center.tol / 2)
+        assert steepest_approx(ball) == flattest_approx(ball) == center
+        assert ball_vertices(ball).vertices == (center,)
+        with pytest.raises(NegativeRadiusError):
+            Ball(center, -2 * center.tol)
+        with pytest.raises(NegativeRadiusError):
+            Ball(make_vector(["0.5", "0.5"]), "-1/10")
 
     def test_radius_mode_must_match_center(self):
         with pytest.raises(ModeMismatchError):

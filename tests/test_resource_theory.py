@@ -220,6 +220,10 @@ class TestFirstComponentBound:
         with pytest.raises(AlphaOutOfRangeError):
             ocr_first_component_bound(1, 1)  # needs alpha > 1 in dimension 1
 
+    def test_float_alpha_squared_within_tol_above_one_over_d_refused(self):
+        with pytest.raises(AlphaOutOfRangeError):
+            ocr_first_component_bound(math.sqrt(1 / 4 + 0.5e-12), 4, tol=1e-12)
+
     @pytest.mark.parametrize("alpha", [1 + 0.5e-12, "1.0000000000005"], ids=["float", "string"])
     @pytest.mark.parametrize("helper", [ocr_first_component_bound, first_component_family])
     def test_alpha_within_tol_above_one_at_d_1(self, helper, alpha):
