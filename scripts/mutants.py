@@ -43,6 +43,7 @@ CAP = "tests/test_polytope.py::TestBallVertices::test_dimension_cap_admits_its_o
 SCALAR_STR = "tests/test_parse.py::test_scalar_str_matches_fraction_route"
 CURVES = "tests/test_core.py::TestLorenzCurve"
 EXTREMAL = "tests/test_lattice.py::TestFamilies"
+FORMS = "tests/test_parse.py::test_integer_form_matches_entries"
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
@@ -114,7 +115,7 @@ MUTANTS = [
     ("PAV means as total / (count * one)", "lattice.py",
      [("Fraction(total, count * one) if tol == 0", "total / (count * one) if tol == 0")], [KERNELS]),
     ("one from the first row only", "numeric.py",
-     [("one = math.lcm(*[q for row in pairs for _, q in row])", "one = math.lcm(*[q for _, q in pairs[0]])")],
+     [("one = math.lcm(*{q for row in pairs for _, q in row})", "one = math.lcm(*{q for _, q in pairs[0]})")],
      [KERNELS]),
     ("ascending sort of squares", "resource_theory.py",
      [("for part in parts), reverse=True)", "for part in parts), reverse=False)")], [KERNELS]),
@@ -144,7 +145,7 @@ MUTANTS = [
     # The row reader (numeric.read_row) and make_vector on its numerators and entries.
     ("no newline-count guard", "numeric.py", [('text.count("\\n") != len(values) or ', "")], [ROWS]),
     ("max(q) in place of the lcm", "numeric.py",
-     [("one = math.lcm(*[q for _, q in pairs])", "one = max(q for _, q in pairs)")], [ROWS]),
+     [("one = math.lcm(*denominators)", "one = max(denominators)")], [ROWS]),
     ("no digit-limit decline", "numeric.py",
      [("if limit and len(text) > limit and max(map(len, values)) > limit:", "if False:")], [ROWS]),
     ("zero denominators read", "numeric.py", [("/0*[1-9][0-9]*)?", "/[0-9]+)?")], [ROWS]),
@@ -161,12 +162,25 @@ MUTANTS = [
      [("pairs = _plain_pairs(values) if exact else None", "pairs = _plain_pairs(values)")],
      ["tests/test_parse.py::test_float_mode_signed_zero"]),
     ("read_row rebuilds a declined row's entries from its pairs", "numeric.py",
-     [("        return tol, one, numerators, entries\n",
-       "        return tol, one, numerators, tuple(Fraction(e.numerator, e.denominator) for e in entries) "
-       "if exact else entries\n")],
+     [("        pairs = [e.as_integer_ratio() for e in entries]\n",
+       "        pairs = [e.as_integer_ratio() for e in entries]\n"
+       "        entries = tuple(Fraction(e.numerator, e.denominator) for e in entries)\n")],
      ["tests/test_parse.py::test_declined_row_keeps_parsed_entries"]),
     ("make_vector's numerators unchecked", "core.py",
      [("    _check_numerators(numerators, one, tol, len(values))\n", "")], [ROWS]),
+    # The integer form (one, numerators) a vector keeps from its parse, and the kernels that read it
+    # (core._over_one).
+    ("form kept in its pre-sort order", "core.py",
+     [("    if sort:\n        numerators = sorted(", "    unsorted = numerators\n    if sort:\n        numerators = sorted("),
+      ("_keeping(vector, one, numerators)", "_keeping(vector, one, unsorted)")],
+     [FORMS]),
+    ("size rule dropped: the form always kept", "numeric.py",
+     [("tuple(numerators) if one in denominators else numerators", "tuple(numerators)")],
+     [FORMS, "tests/test_parse.py::test_row_past_the_size_rule_keeps_no_form"]),
+    ("form scaled by one, not one // o", "core.py", [("repeat(one // o)", "repeat(one)")], [KERNELS]),
+    ("compare reads one member's form for both", "core.py",
+     [('forms = [getattr(v, "_form", None) for v in vectors]',
+       'forms = [getattr(vectors[0], "_form", None) for v in vectors]')], [KERNELS]),
     # The curve rule (core._check_cumulative): S_0, then the steps by the vector rule, for
     # LorenzCurve and ExtremalFamily, and the order of the two maps.
     ("upper map checked as concave", "lattice.py",

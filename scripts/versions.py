@@ -11,7 +11,10 @@ the standard library and majlat from this checkout. It runs:
 - the worked examples (scripts/run_examples.py) into a temporary directory,
   byte for byte against out/;
 - the README examples through doctest;
-- a pickle, copy and hash round trip of every value class;
+- a pickle, copy and hash round trip of every value class; an exact
+  vector from make_vector or state_to_vector keeps its integer form, its
+  copies carry none, and family_inf gives the same vector on a copy, on
+  the original and on both;
 - scalar_str, compare and state_to_vector against tests/oracles.py's
   references on seeded inputs, in exact and float mode: the float
   logarithm of scalar_str, Fraction.as_integer_ratio in common_scale, and
@@ -63,17 +66,24 @@ def _round_trips():
     import copy
     import pickle
 
-    from majlat import (Ball, ExtremalFamily, LorenzCurve, Polytope, StateSpec, first_component_family,
-                        make_vector, partial_sums)
+    from majlat import (Ball, ExtremalFamily, LorenzCurve, Polytope, ResourceTheory, StateSpec, family_inf,
+                        first_component_family, make_vector, partial_sums, state_to_vector)
 
     x = make_vector(["0.5", "0.3", "0.2"])
-    values = [x, x.to_float(), partial_sums(x), LorenzCurve(["0", "1/2", "1"]), first_component_family("0.8", 3),
+    state = StateSpec(amplitudes=("3/5", ("0", "4/5")))
+    kept = [x, make_vector(["1/6", "1/2", "1/3"], sort=True), state_to_vector(state, ResourceTheory.COHERENCE)]
+    assert all(getattr(v, "_form", None) is not None for v in kept), "a vector keeps no integer form"
+    values = [*kept, x.to_float(), partial_sums(x), LorenzCurve(["0", "1/2", "1"]), first_component_family("0.8", 3),
               ExtremalFamily(2, ["0", "1/2", "1"], ["0", "1", "1"]), Polytope((x, make_vector(["0.6", "0.4", "0"]))),
-              Ball(x, "1/10"), Ball(x.to_float(), 0.1), StateSpec(amplitudes=("3/5", ("0", "4/5")))]
+              Ball(x, "1/10"), Ball(x.to_float(), 0.1), state]
     for v in values:
-        for other in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        for other in (*(pickle.loads(pickle.dumps(v, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+                      copy.copy(v), copy.deepcopy(v)):
             assert other == v and hash(other) == hash(v) and repr(other) == repr(v), repr(v)
-    return f"{len({type(v) for v in values})} classes, {len(values)} values"
+            if any(v is k for k in kept):
+                assert getattr(other, "_form", None) is None, f"a copy of {v!r} keeps an integer form"
+                assert family_inf((other, v)) == family_inf((other, other)) == family_inf((v, v)) == v, repr(v)
+    return f"{len({type(v) for v in values})} classes, {len(values)} values, {len(kept)} with integer forms"
 
 
 def _references():

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
+    AbscissaOutOfRangeError,
     BadEndpointsError,
     DimensionMismatchError,
     EmptyInputError,
@@ -35,6 +36,7 @@ from .numeric import (
     common_scale,
     cumulative_sums,
     eq,
+    lt,
     parse_scalar,
     read_row,
     resolve_mode,
@@ -93,12 +95,25 @@ class OrderedProbVector(_Frozen):
     downstream comparisons treat differences within tol as equality.
     The constructor is make_vector(entries, tol=tol), the one door for
     raw entries.
+
+    An exact vector may also keep its integer form (one, numerators): its
+    entries as integer numerators over one common denominator, as they
+    were checked, so the kernels need not scale them again (_over_one).
+    The form lives in the slot _form, outside __dict__; it is no field, and
+    __getstate__ leaves it out, so a pickle or copy of the vector lacks it.
     """
 
+    __slots__ = ("_form",)
     _fields = ("entries", "tol")
 
     def __init__(self, entries: Iterable[Scalar], tol: float = 0.0):
-        self.__dict__.update(vars(make_vector(entries, tol=tol)))
+        built = make_vector(entries, tol=tol)
+        self.__dict__.update(vars(built))
+        if (form := getattr(built, "_form", None)) is not None:
+            _FORM.__set__(self, form)
+
+    def __getstate__(self):
+        return self.__dict__
 
     @property
     def d(self) -> int:
@@ -117,6 +132,9 @@ class OrderedProbVector(_Frozen):
 
     def __str__(self) -> str:
         return "[" + ", ".join(scalar_str(e) for e in self.entries) + "]"
+
+
+_FORM = OrderedProbVector._form  # the slot's descriptor: sets the form past _Frozen.__setattr__
 
 
 class LorenzCurve(_Frozen):
@@ -142,10 +160,14 @@ class LorenzCurve(_Frozen):
         return len(self.values) - 1
 
     def value_at(self, omega) -> Scalar:
-        """Linear interpolation at any abscissa in [0, d], parsed in the curve's mode."""
+        """Linear interpolation at any abscissa in [0, d], parsed in the curve's mode.
+
+        A float abscissa within tol outside [0, d] counts as the end it is near.
+        """
         x = parse_scalar(omega, self.tol == 0)
-        if x < 0 or x > self.d:
-            raise ValueError(f"abscissa {shown(omega)} outside [0, {self.d}]")
+        if lt(x, 0, self.tol) or lt(self.d, x, self.tol):
+            raise AbscissaOutOfRangeError(f"abscissa {shown(omega)} outside [0, {self.d}]")
+        x = min(max(x, 0), self.d)
         k = int(x)
         if k == self.d:
             return self.values[k]
@@ -253,12 +275,15 @@ def make_vector(
     over 1.0. normalize and sort work on those numerators, and
     _check_numerators checks them once, one at a time. The entries
     read_row built are kept unless the row was normalized or sorted; then
-    they are the numerators unscaled.
+    they are the numerators unscaled. An exact row whose numerators
+    read_row gives as a tuple keeps them, as checked, as the vector's
+    integer form.
     """
     values = tuple(raw)
     if not values:
         raise EmptyInputError("no entries given")
     tol, one, numerators, entries = read_row(values, tol)
+    keep = not tol and type(numerators) is tuple
     if normalize:
         numerators = tuple(numerators)
         total = sum(numerators)
@@ -270,7 +295,34 @@ def make_vector(
     _check_numerators(numerators, one, tol, len(values))
     if normalize or sort:
         entries = unscale(numerators, one, tol)
-    return _trusted(OrderedProbVector, entries=tuple(entries), tol=tol)
+    vector = _trusted(OrderedProbVector, entries=tuple(entries), tol=tol)
+    return _keeping(vector, one, numerators) if keep else vector
+
+
+def _keeping(vector: OrderedProbVector, one: int, numerators: Iterable[int]) -> OrderedProbVector:
+    """vector, now keeping the integer form (one, numerators) of its entries."""
+    _FORM.__set__(vector, (one, tuple(numerators)))
+    return vector
+
+
+def _over_one(vectors: Sequence[OrderedProbVector], tol: float) -> tuple[Scalar, list[Iterable[Scalar]]]:
+    """(one, each vector's entries as numerators over one), for the kernels.
+
+    Float entries are their own numerators over 1.0. In exact mode one is
+    the lcm of the distinct denominators of the vectors' integer forms; a
+    vector without a form (a kernel output, a copy) gives common_scale's.
+    A form (o, numerators) is scaled by the one integer one // o, and not
+    at all when o is one.
+    """
+    if tol:
+        return 1.0, [v.entries for v in vectors]
+    forms = [getattr(v, "_form", None) for v in vectors]
+    if None in forms:
+        q, rows = common_scale([v.entries for v, form in zip(vectors, forms) if form is None], tol)
+        rows = iter(rows)
+        forms = [form or (q, next(rows)) for form in forms]
+    one = math.lcm(*{o for o, _ in forms})
+    return one, [ns if o == one else map(mul, ns, repeat(one // o)) for o, ns in forms]
 
 
 def _check_dimension(d: object) -> int:
@@ -334,13 +386,14 @@ def compare(x: OrderedProbVector, y: OrderedProbVector) -> MajOrdering:
     """Majorization comparison via prefix-sum dominance at k = 1..d-1.
 
     The k = d sums agree for probability vectors, so they never decide.
-    Exact prefix sums are integer numerators over one common denominator.
+    Exact prefix sums are integer numerators over one common denominator
+    (_over_one).
     The gaps S_k(x) - S_k(y) are taken once; x dominates when none is below
     -tol, y when none is above tol. A float b - a is exactly -(a - b), so
     these are the tests b - a <= tol and a - b <= tol of numeric.geq.
     """
     tol = pair_tolerance(x, y)
-    _, (rx, ry) = common_scale((x.entries, y.entries), tol)
+    _, (rx, ry) = _over_one((x, y), tol)
     gaps = [a - b for a, b in zip(accumulate(rx), accumulate(ry))][:-1]
     x_dominates = min(gaps, default=0) >= -tol
     y_dominates = max(gaps, default=0) <= tol

@@ -45,6 +45,10 @@ class BadEndpointsError(MajlatError):
     """Cumulative values must start at zero and end at one."""
 
 
+class AbscissaOutOfRangeError(MajlatError, ValueError):
+    """A Lorenz curve abscissa lay outside [0, d] beyond tolerance."""
+
+
 class EmptyFamilyError(MajlatError):
     """A vector family or vertex list had no members."""
 

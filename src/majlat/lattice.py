@@ -11,8 +11,11 @@ ExtremalFamily: its per-index prefix-sum extrema, the only data the
 family bounds depend on, which is how continuously parametrized families
 are handled.
 
-Exact kernels compute on integer numerators over one common denominator,
-the lcm of the operands' denominators (numeric.common_scale): prefix sums,
+Exact kernels compute on integer numerators over one common denominator:
+the lcm of the denominators of the operands' integer forms, the numerators
+each vector kept from its parse (core._over_one), each form scaled by one
+integer factor; an operand without a form is scaled entry by entry
+(numeric.common_scale). On those numerators the kernels take prefix sums,
 their minima and maxima, and the join's block means, compared by
 cross-multiplying. Fractions are built only for the result entries, and for
 the prefix-sum suprema that the family supremum's envelope still takes.
@@ -29,7 +32,16 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_cumulative, _differences, _from_sums, _Frozen, _trusted, pair_tolerance
+from .core import (
+    OrderedProbVector,
+    _check_cumulative,
+    _differences,
+    _from_sums,
+    _Frozen,
+    _over_one,
+    _trusted,
+    pair_tolerance,
+)
 from .errors import (
     BadEndpointsError,
     EmptyFamilyError,
@@ -83,13 +95,14 @@ def _fold(family, pick) -> tuple[tuple[Scalar, ...], Scalar, float]:
     """Per-index prefix-sum minima (pick=min) or maxima (pick=max) as (sums, one, tol).
 
     Exact sums are integer numerators over one, the common denominator of
-    numeric.common_scale; float sums are floats, with one = 1.0.
+    the members' integer forms (core._over_one) or of an ExtremalFamily's
+    map (numeric.common_scale); float sums are floats, with one = 1.0.
     """
     if isinstance(family, ExtremalFamily):
         one, (sums,) = common_scale((family.lower if pick is min else family.upper,), family.tol)
         return tuple(sums), one, family.tol
     members, tol = _members(family)
-    one, rows = common_scale([m.entries for m in members], tol)
+    one, rows = _over_one(members, tol)
     zero = one * 0
     return tuple(map(pick, zip(*(accumulate(row, initial=zero) for row in rows)))), one, tol
 

@@ -12,8 +12,12 @@ two maps as one row, and each coherence parameter as a one-entry row. It
 gives the entries and their numerators over one common denominator,
 integers in exact mode: a plain exact row of decimal and ratio strings in
 one regular-expression match as integer pairs (n, q), any other row value
-by value through parse_scalar. parse_scalar alone reads a lone value of
-known mode (a Ball radius, LorenzCurve.value_at): exact values through
+by value through parse_scalar. When one is itself one of the row's
+denominators, the vector built from the numerators keeps them as its
+integer form, and the kernels start from them (core._over_one); they
+take a fresh lcm of the entries' denominators (common_scale) only for an
+operand without a form. parse_scalar alone reads a lone value of known
+mode (a Ball radius, LorenzCurve.value_at): exact values through
 Fraction, plain float text (_PLAIN_FLOAT) by float().
 """
 
@@ -56,19 +60,29 @@ def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar
     """(tol, one, numerators, entries) of a raw row, in the mode resolve_mode picks.
 
     Float entries are their own numerators over one = 1.0. Exact numerators
-    are the integers n * (one // q) over the lcm one of the denominators q,
-    yielded lazily as by common_scale. Each exact entry is built once: from
-    the pairs of a row _plain_pairs reads, lazily, or by parse_scalar, with
-    its errors, for a row _plain_pairs declines.
+    are the integers n * (one // q) over the lcm one of the distinct
+    denominators q of the pairs (n, q). When one is itself one of those
+    denominators, no numerator is longer than the row's longest entry plus
+    its longest denominator: they then come as a tuple, which make_vector
+    and state_to_vector keep as the vector's integer form. Else they are
+    yielded lazily, one at a time. Each exact
+    entry is built once: from the pairs of a row _plain_pairs reads,
+    lazily, or by parse_scalar, with its errors, for a row _plain_pairs
+    declines.
     """
     exact, tol = resolve_mode(values, tol)
     pairs = _plain_pairs(values) if exact else None
     if pairs is None:
         entries = tuple(parse_scalar(v, exact) for v in values)
-        one, (numerators,) = common_scale((entries,), tol)
-        return tol, one, numerators, entries
-    one = math.lcm(*[q for _, q in pairs])
-    return tol, one, (n * (one // q) for n, q in pairs), starmap(Fraction, pairs)
+        if not exact:
+            return tol, 1.0, entries, entries
+        pairs = [e.as_integer_ratio() for e in entries]
+    else:
+        entries = starmap(Fraction, pairs)
+    denominators = {q for _, q in pairs}
+    one = math.lcm(*denominators)
+    numerators = (n * (one // q) for n, q in pairs)
+    return tol, one, tuple(numerators) if one in denominators else numerators, entries
 
 
 def _plain_pairs(values: Sequence[object]) -> list[tuple[int, int]] | None:
@@ -206,17 +220,20 @@ def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, 
     """Rows over one common denominator: (one, each row's numerators).
 
     Exact mode reads each entry once as its pair (n, q) by
-    as_integer_ratio(), takes one = the lcm of every q in the rows and
-    yields each entry lazily, one at a time, as the integer n * (one // q):
-    integers that add, compare and sort as the Fractions do, at a fraction
-    of the cost. Float mode returns the rows themselves, with one = 1.0.
-    read_row gives a raw row's numerators by this rule, from the integer
-    pairs of a plain exact row or from its parsed entries.
+    as_integer_ratio(), takes one = the lcm of the distinct q in the rows
+    and yields each entry lazily, one at a time, as the integer
+    n * (one // q): integers that add, compare and sort as the Fractions
+    do, at a fraction of the cost. Float mode returns the rows themselves,
+    with one = 1.0. read_row gives a raw row's numerators by the same
+    rule. The kernels scale this way only what has no integer form
+    (core._over_one): a vector whose row kept none, a kernel output or a
+    copy, and the maps of an ExtremalFamily and the center and radius of a
+    Ball, which are read as entries.
     """
     if tol:
         return 1.0, rows
     pairs = [[e.as_integer_ratio() for e in row] for row in rows]
-    one = math.lcm(*[q for row in pairs for _, q in row])
+    one = math.lcm(*{q for row in pairs for _, q in row})
     return one, [(n * (one // q) for n, q in row) for row in pairs]
 
 

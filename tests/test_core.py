@@ -237,6 +237,22 @@ class TestLorenzCurve:
             curve.value_at("-1/2")
         assert partial_sums(make_vector(FIG_X, tol=1e-12)).value_at("3/2") == pytest.approx(0.68)
 
+    @pytest.mark.parametrize("omega, want", [
+        ("2.0000000000001", 1.0), (-5e-13, 0.0), (2 + 2e-12, None), (-2e-12, None),
+    ], ids=["above-within-tol", "below-within-tol", "above-past-tol", "below-past-tol"])
+    def test_value_at_clamps_within_tol(self, omega, want):
+        """A float abscissa within tol of [0, d] is read as the end it is near, as
+        _check_alpha clamps alpha; one past tol raises an error of the contract."""
+        curve = LorenzCurve([0.0, 0.5, 1.0], tol=1e-12)
+        if want is not None:
+            assert curve.value_at(omega) == want
+            return
+        with pytest.raises(majlat.errors.AbscissaOutOfRangeError) as caught:
+            curve.value_at(omega)
+        assert isinstance(caught.value, majlat.errors.MajlatError) and isinstance(caught.value, ValueError)
+        with pytest.raises(majlat.errors.AbscissaOutOfRangeError):
+            partial_sums(make_vector(FIG_X)).value_at(Fraction(-1, 10**30))
+
 
 class TestCompare:
     def test_known_incomparable_pair(self):

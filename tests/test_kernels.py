@@ -8,6 +8,8 @@ slipping in would still compare equal. Float mode keeps its float kernels, so
 every float result must repeat the reference bit for bit.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -101,6 +103,26 @@ LONG_RUN = (
 def test_kernels_match_references(members):
     _assert_kernels_match(members)
     _assert_kernels_match(tuple(m.to_float() for m in members))
+
+
+_COPIES = {"pickle": lambda v: pickle.loads(pickle.dumps(v)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+# Vectors that keep their integer forms: over 10, over 9 (squared amplitudes over 3**2) and over 7.
+KEPT = (make_vector(["0.5", "0.3", "0.2"]),
+        state_to_vector(StateSpec(amplitudes=("2/3", ("2/3", "0"), "1/3")), ResourceTheory.COHERENCE),
+        make_vector(["3/7", "2/7", "2/7"]))
+
+
+@given(_families(), st.lists(st.sampled_from([None, *_COPIES]), min_size=5, max_size=5))
+@example(KEPT, ["pickle", None, "deepcopy"])
+@example(KEPT, ["copy", "copy", None])
+def test_kernels_agree_on_copies(members, how):
+    """A pickle, copy or deepcopy of a vector equals it and carries no integer form. The
+    kernels on a family of copies, or of copies beside vectors that keep their forms,
+    give the references' results, as on the originals."""
+    copied = tuple(m if h is None else _COPIES[h](m) for m, h in zip(members, how))
+    for m, c, h in zip(members, copied, how):
+        assert c == m and (h is None or getattr(c, "_form", None) is None)
+    _assert_kernels_match(copied)
 
 
 def _extremal(members):

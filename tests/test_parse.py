@@ -380,6 +380,73 @@ def test_exact_check_holds_one_numerator_at_a_time():
         assert peak < 2_000_000
 
 
+def _denominator(entry):
+    """The denominator read_row takes an entry over: a plain string's unreduced one, else the Fraction's."""
+    if isinstance(entry, str):
+        p, slash, q = entry.partition("/")
+        return int(q) if slash else 10 ** len(entry.partition(".")[2])
+    return Fraction(entry).denominator
+
+
+@st.composite
+def _form_rows(draw):
+    """(row, route): 1-8 entries over one shared denominator or each over its own, as plain
+    "p/q" strings, plain decimals, or Fractions and ints read entry by entry."""
+    d = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(0, 40), min_size=d, max_size=d))
+    route = draw(st.sampled_from(["ratios", "decimals", "fractions"]))
+    if route == "decimals":
+        places = [draw(st.integers(0, 3))] * d if draw(st.booleans()) else draw(
+            st.lists(st.integers(0, 3), min_size=d, max_size=d))
+        return [f"{w // 10**k}.{w % 10**k:0{k}d}" if k else str(w) for w, k in zip(weights, places)], route
+    shared = draw(st.integers(1, 60))
+    dens = [shared] * d if draw(st.booleans()) else draw(st.lists(st.integers(1, 60), min_size=d, max_size=d))
+    if route == "ratios":
+        return [f"{w}/{q}" for w, q in zip(weights, dens)], route
+    return [int(f) if f.denominator == 1 else f for f in map(Fraction, weights, dens)], route
+
+
+@given(_form_rows(), st.sampled_from([None, 1e-12]), st.booleans(), st.booleans())
+@example((["3/12", "2/6", "5/12"], "ratios"), None, True, False)  # kept as sorted: 5, 4, 3 over 12
+@example((["1/6", "1/10", "11/15"], "ratios"), None, True, False)  # the lcm 30 is none of them: no form
+@example((["0.5", "0.25", "0.25"], "decimals"), None, False, False)  # over 100, one of the denominators
+@example(([Fraction(1, 6), Fraction(1, 2), 1], "fractions"), None, True, True)  # over the total 10: 6, 3, 1
+def test_integer_form_matches_entries(data, tol, sort, normalize):
+    """make_vector keeps an exact row's integer form (one, numerators) exactly when one, the lcm
+    of the denominators read_row takes, is one of them; each numerator over one is then the
+    entry, in the vector's order, and the form is never one of the vector's fields."""
+    row, route = data
+    try:
+        vector = make_vector(row, tol=tol, sort=sort, normalize=normalize)
+    except MajlatError:
+        return
+    assert tuple(vars(vector)) == ("entries", "tol")
+    denominators = set(map(_denominator, row))
+    form = getattr(vector, "_form", None)
+    assert (form is not None) == (tol is None and math.lcm(*denominators) in denominators), (row, route)
+    if form is not None:
+        one, numerators = form
+        assert type(one) is int and one > 0 and len(numerators) == vector.d
+        assert all(type(n) is int and Fraction(n, one) == e for n, e in zip(numerators, vector.entries))
+
+
+def test_row_past_the_size_rule_keeps_no_form():
+    """500 entries over 250 distinct hundred-digit denominators 250 * (10**100 + i),
+    (r - 1)/(250 r) and 1/(250 r), sum to one. Their lcm is none of them, so the vector
+    keeps no integer form and its check holds one numerator at a time: all 500 numerators
+    over the lcm would take about 5 MB."""
+    rs = [10**100 + i for i in range(250)]
+    row = [f"{r - 1}/{250 * r}" for r in reversed(rs)] + [f"1/{250 * r}" for r in rs]
+    tracemalloc.start()
+    try:
+        vector = make_vector(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert getattr(vector, "_form", None) is None and vector.d == 500
+    assert peak < 2_000_000
+
+
 @pytest.mark.parametrize("row", [
     ["1/64"] * 63 + [" 1/64"],  # the space declines the row, read entry by entry
     [Fraction(1, 64)] * 64,
