@@ -105,7 +105,8 @@ def test_kernels_match_references(members):
     _assert_kernels_match(tuple(m.to_float() for m in members))
 
 
-_COPIES = {"pickle": lambda v: pickle.loads(pickle.dumps(v)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+_COPIES = {"pickle": lambda v: pickle.loads(pickle.dumps(v)), "pickle-0": lambda v: pickle.loads(pickle.dumps(v, 0)),
+           "copy": copy.copy, "deepcopy": copy.deepcopy}
 # Vectors that keep their integer forms: over 10, over 9 (squared amplitudes over 3**2) and over 7.
 KEPT = (make_vector(["0.5", "0.3", "0.2"]),
         state_to_vector(StateSpec(amplitudes=("2/3", ("2/3", "0"), "1/3")), ResourceTheory.COHERENCE),
@@ -113,12 +114,12 @@ KEPT = (make_vector(["0.5", "0.3", "0.2"]),
 
 
 @given(_families(), st.lists(st.sampled_from([None, *_COPIES]), min_size=5, max_size=5))
-@example(KEPT, ["pickle", None, "deepcopy"])
-@example(KEPT, ["copy", "copy", None])
+@example(KEPT, ["pickle", None, "pickle-0"])
+@example(KEPT, ["copy", "deepcopy", None])
 def test_kernels_agree_on_copies(members, how):
-    """A pickle, copy or deepcopy of a vector equals it and carries no integer form. The
-    kernels on a family of copies, or of copies beside vectors that keep their forms,
-    give the references' results, as on the originals."""
+    """A pickle (protocol 0 too), copy or deepcopy of a vector equals it and carries no
+    integer form. The kernels on a family of copies, or of copies beside vectors that
+    keep their forms, give the references' results, as on the originals."""
     copied = tuple(m if h is None else _COPIES[h](m) for m, h in zip(members, how))
     for m, c, h in zip(members, copied, how):
         assert c == m and (h is None or getattr(c, "_form", None) is None)
