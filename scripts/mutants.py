@@ -47,8 +47,8 @@ FORMS = "tests/test_parse.py::test_integer_form_matches_entries"
 
 # (name, file under src/majlat, [(old text, new text), ...], tests to run)
 MUTANTS = [
-    # The vector rule (core._numerators_fault): _check_numerators raises its fault for make_vector,
-    # and ball listing asks it first about each candidate.
+    # The vector rule (core._numerators_fault): the vector door core._checked_vector raises its fault
+    # for make_vector and state_to_vector, and ball listing asks it first about each candidate.
     ("rise at >=", "core.py", [("n - previous > tol", "n - previous >= tol")], [CHECKS]),
     ("sum slack tol, not tol * d", "core.py",
      [("abs(total - one) > tol * d", "abs(total - one) > tol")], [CHECKS]),
@@ -65,7 +65,7 @@ MUTANTS = [
      [("total = sum(_scanned(values, tol, faults))", "total = sum(_scanned(values, tol, faults), 0.0)")], [CHECKS]),
     ("-0.0 start for the total", "core.py",
      [("total = sum(_scanned(values, tol, faults))", "total = sum(_scanned(values, tol, faults), -0.0)")], [CHECKS]),
-    ("_check_numerators returns the fault unraised", "core.py", [("raise fault()", "fault()")], [CHECKS]),
+    ("the vector door returns the fault unraised", "core.py", [("raise fault()", "fault()")], [CHECKS]),
     ("_feasible without the vector rule", "polytope.py",
      [("    if _numerators_fault(x, q, tol, len(x)):\n        return False\n", "")], [FEASIBLE]),
     ("_feasible builds the error of each refused candidate", "polytope.py",
@@ -114,9 +114,8 @@ MUTANTS = [
     ("differences taken backwards", "core.py", [("map(sub, sums[1:], sums)", "map(sub, sums, sums[1:])")], [KERNELS]),
     ("PAV means as total / (count * one)", "lattice.py",
      [("Fraction(total, count * one) if tol == 0", "total / (count * one) if tol == 0")], [KERNELS]),
-    ("one from the first row only", "numeric.py",
-     [("one = math.lcm(*{q for row in pairs for _, q in row})", "one = math.lcm(*{q for _, q in pairs[0]})")],
-     [KERNELS]),
+    ("one from the first row only", "core.py",
+     [("one = math.lcm(*{o for o, _ in forms})", "one = math.lcm(*{o for o, _ in forms[:1]})")], [KERNELS]),
     ("ascending sort of squares", "resource_theory.py",
      [("for part in parts), reverse=True)", "for part in parts), reverse=False)")], [KERNELS]),
     ("compare drops one more prefix sum", "core.py",
@@ -167,20 +166,32 @@ MUTANTS = [
        "        entries = tuple(Fraction(e.numerator, e.denominator) for e in entries)\n")],
      ["tests/test_parse.py::test_declined_row_keeps_parsed_entries"]),
     ("make_vector's numerators unchecked", "core.py",
-     [("    _check_numerators(numerators, one, tol, len(values))\n", "")], [ROWS]),
-    # The integer form (one, numerators) a vector keeps from its parse, and the kernels that read it
-    # (core._over_one).
+     [("    fault = _numerators_fault(numerators, one, tol, d)\n    if fault:\n        raise fault()\n", "")], [ROWS]),
+    # The integer form (one, numerators) a vector keeps from its parse under numeric._over_lcm's size
+    # rule, and the kernels that read it (core._over_one).
     ("form kept in its pre-sort order", "core.py",
-     [("    if sort:\n        numerators = sorted(", "    unsorted = numerators\n    if sort:\n        numerators = sorted("),
-      ("_keeping(vector, one, numerators)", "_keeping(vector, one, unsorted)")],
+     [("    if sort:\n        numerators = sorted(numerators, reverse=True)\n    return _checked_vector(",
+       "    unsorted = numerators\n    if sort:\n        numerators = sorted(numerators, reverse=True)\n"
+       "    vector = _checked_vector("),
+      ("None if normalize or sort else entries, keep)\n",
+       "None if normalize or sort else entries, keep)\n"
+       "    if keep:\n        _FORM.__set__(vector, (one, tuple(unsorted)))\n    return vector\n")],
      [FORMS]),
     ("size rule dropped: the form always kept", "numeric.py",
-     [("tuple(numerators) if one in denominators else numerators", "tuple(numerators)")],
+     [("keep = one in denominators and (len(denominators) == 1 or sum(", "keep = True or (sum(")],
      [FORMS, "tests/test_parse.py::test_row_past_the_size_rule_keeps_no_form"]),
+    ("bit sum over distinct denominators, not entries", "numeric.py",
+     [("for _, q in pairs) <= 0", "for q in denominators) <= 0")], [FORMS]),
+    ("bit test dropped", "numeric.py",
+     [("(len(denominators) == 1 or sum(", "(True or sum(")],
+     [FORMS, "tests/test_parse.py::test_form_is_never_longer_than_its_row"]),
     ("form scaled by one, not one // o", "core.py", [("repeat(one // o)", "repeat(one)")], [KERNELS]),
     ("compare reads one member's form for both", "core.py",
-     [('forms = [getattr(v, "_form", None) for v in vectors]',
-       'forms = [getattr(vectors[0], "_form", None) for v in vectors]')], [KERNELS]),
+     [('getattr(v, "_form", None) or common_scale', 'getattr(vectors[0], "_form", None) or common_scale')],
+     [KERNELS]),
+    ("the door ignoring state_to_vector's keep flag", "resource_theory.py",
+     [(", keep=not tol and type(numerators) is tuple)", ")")],
+     ["tests/test_kernels.py::test_state_to_vector_matches_reference"]),
     # The curve rule (core._check_cumulative): S_0, then the steps by the vector rule, for
     # LorenzCurve and ExtremalFamily, and the order of the two maps.
     ("upper map checked as concave", "lattice.py",

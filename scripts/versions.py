@@ -11,14 +11,16 @@ the standard library and majlat from this checkout. It runs:
 - the worked examples (scripts/run_examples.py) into a temporary directory,
   byte for byte against out/;
 - the README examples through doctest;
-- a pickle, copy and hash round trip of every value class; an exact
-  vector from make_vector or state_to_vector keeps its integer form, its
-  copies carry none, and family_inf gives the same vector on a copy, on
-  the original and on both;
+- a pickle, copy and hash round trip of every value class; three exact
+  vectors from make_vector and state_to_vector whose rows pass the size
+  rule of numeric._over_lcm keep their integer forms, their copies carry
+  none, and family_inf gives the same vector on a copy, on the original
+  and on both;
 - scalar_str, compare and state_to_vector against tests/oracles.py's
   references on seeded inputs, in exact and float mode: the float
-  logarithm of scalar_str, Fraction.as_integer_ratio in common_scale, and
-  float sums, whose rounding changed in 3.12.
+  logarithm of scalar_str, Fraction.as_integer_ratio, by which
+  common_scale reads a row of entries, and float sums, whose rounding
+  changed in 3.12.
 
 Exit status: 0 when every interpreter found passes, 1 when one fails. Not a
 tier-1 test: the interpreters need not be there.

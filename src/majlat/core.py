@@ -174,19 +174,11 @@ class LorenzCurve(_Frozen):
         return self.values[k] + (self.values[k + 1] - self.values[k]) * (x - k)
 
 
-def _check_numerators(values: Iterable[Scalar], one: Scalar, tol: float, d: int) -> None:
-    """The vector rule on d entries given as numerators over one, as a check:
-    raises the error _numerators_fault builds. make_vector checks every row here."""
-    fault = _numerators_fault(values, one, tol, d)
-    if fault:
-        raise fault()
-
-
 def _numerators_fault(values: Iterable[Scalar], one: Scalar, tol: float, d: int) -> Callable[[], MajlatError] | None:
     """None when d entries given as numerators over one satisfy the vector rule;
     else a callable that builds the error naming the fault.
 
-    _check_numerators raises that error; ball listing asks this about each
+    _checked_vector raises that error; ball listing asks this about each
     candidate over its q from polytope.solve_square and builds no error, so
     no message is formatted for a rejected candidate. Float entries are their
     own numerators over 1.0; exact ones are taken one at a time, so memory
@@ -273,11 +265,10 @@ def make_vector(
     numeric.read_row reads the row once: an exact row as integer
     numerators over the lcm of its denominators, a float row as floats
     over 1.0. normalize and sort work on those numerators, and
-    _check_numerators checks them once, one at a time. The entries
-    read_row built are kept unless the row was normalized or sorted; then
-    they are the numerators unscaled. An exact row whose numerators
-    read_row gives as a tuple keeps them, as checked, as the vector's
-    integer form.
+    _checked_vector checks them once, one at a time. The entries read_row
+    built are kept unless the row was normalized or sorted; then they are
+    the numerators unscaled. An exact row whose numerators read_row gives
+    as a tuple keeps them, as checked, as the vector's integer form.
     """
     values = tuple(raw)
     if not values:
@@ -292,35 +283,39 @@ def make_vector(
         one, numerators = (total, numerators) if tol == 0 else (one, tuple(e / total for e in numerators))
     if sort:
         numerators = sorted(numerators, reverse=True)
-    _check_numerators(numerators, one, tol, len(values))
-    if normalize or sort:
-        entries = unscale(numerators, one, tol)
-    vector = _trusted(OrderedProbVector, entries=tuple(entries), tol=tol)
-    return _keeping(vector, one, numerators) if keep else vector
+    return _checked_vector(numerators, one, tol, len(values), None if normalize or sort else entries, keep)
 
 
-def _keeping(vector: OrderedProbVector, one: int, numerators: Iterable[int]) -> OrderedProbVector:
-    """vector, now keeping the integer form (one, numerators) of its entries."""
-    _FORM.__set__(vector, (one, tuple(numerators)))
+def _checked_vector(numerators: Iterable[Scalar], one: Scalar, tol: float, d: int,
+                    entries: Iterable[Scalar] | None = None, keep: bool = False) -> OrderedProbVector:
+    """The vector of d entries given as numerators over one, once they pass the vector rule:
+    raises the error _numerators_fault builds, else builds it trusted on entries (or on the
+    numerators unscaled, a sequence then). With keep, the exact vector keeps (one, numerators)
+    as its integer form. make_vector and the amplitudes of state_to_vector end here."""
+    if keep:
+        numerators = tuple(numerators)
+    fault = _numerators_fault(numerators, one, tol, d)
+    if fault:
+        raise fault()
+    vector = _trusted(OrderedProbVector, entries=unscale(numerators, one, tol) if entries is None else tuple(entries),
+                      tol=tol)
+    if keep:
+        _FORM.__set__(vector, (one, numerators))
     return vector
 
 
 def _over_one(vectors: Sequence[OrderedProbVector], tol: float) -> tuple[Scalar, list[Iterable[Scalar]]]:
     """(one, each vector's entries as numerators over one), for the kernels.
 
-    Float entries are their own numerators over 1.0. In exact mode one is
-    the lcm of the distinct denominators of the vectors' integer forms; a
-    vector without a form (a kernel output, a copy) gives common_scale's.
-    A form (o, numerators) is scaled by the one integer one // o, and not
-    at all when o is one.
+    Float entries are their own numerators over 1.0. In exact mode each
+    vector gives its integer form (o, numerators), or common_scale's of its
+    entries when it keeps none (a kernel output, a copy); one is the lcm of
+    the o, and each form is scaled by the one integer one // o, and not at
+    all when o is one.
     """
     if tol:
         return 1.0, [v.entries for v in vectors]
-    forms = [getattr(v, "_form", None) for v in vectors]
-    if None in forms:
-        q, rows = common_scale([v.entries for v, form in zip(vectors, forms) if form is None], tol)
-        rows = iter(rows)
-        forms = [form or (q, next(rows)) for form in forms]
+    forms = [getattr(v, "_form", None) or common_scale(v.entries, tol) for v in vectors]
     one = math.lcm(*{o for o, _ in forms})
     return one, [ns if o == one else map(mul, ns, repeat(one // o)) for o, ns in forms]
 

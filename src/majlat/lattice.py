@@ -14,7 +14,7 @@ are handled.
 Exact kernels compute on integer numerators over one common denominator:
 the lcm of the denominators of the operands' integer forms, the numerators
 each vector kept from its parse (core._over_one), each form scaled by one
-integer factor; an operand without a form is scaled entry by entry
+integer factor; an operand without a form gets one from its entries
 (numeric.common_scale). On those numerators the kernels take prefix sums,
 their minima and maxima, and the join's block means, compared by
 cross-multiplying. Fractions are built only for the result entries, and for
@@ -96,10 +96,10 @@ def _fold(family, pick) -> tuple[tuple[Scalar, ...], Scalar, float]:
 
     Exact sums are integer numerators over one, the common denominator of
     the members' integer forms (core._over_one) or of an ExtremalFamily's
-    map (numeric.common_scale); float sums are floats, with one = 1.0.
+    map as one row (numeric.common_scale); float sums are floats over 1.0.
     """
     if isinstance(family, ExtremalFamily):
-        one, (sums,) = common_scale((family.lower if pick is min else family.upper,), family.tol)
+        one, sums = common_scale(family.lower if pick is min else family.upper, family.tol)
         return tuple(sums), one, family.tol
     members, tol = _members(family)
     one, rows = _over_one(members, tol)

@@ -12,11 +12,11 @@ two maps as one row, and each coherence parameter as a one-entry row. It
 gives the entries and their numerators over one common denominator,
 integers in exact mode: a plain exact row of decimal and ratio strings in
 one regular-expression match as integer pairs (n, q), any other row value
-by value through parse_scalar. When one is itself one of the row's
-denominators, the vector built from the numerators keeps them as its
-integer form, and the kernels start from them (core._over_one); they
-take a fresh lcm of the entries' denominators (common_scale) only for an
-operand without a form. parse_scalar alone reads a lone value of known
+by value through parse_scalar. _over_lcm scales the pairs, for read_row
+and for common_scale (a row of built entries); under its size rule the
+vector built from the numerators keeps them as its integer form, and the
+kernels start from them (core._over_one), scaling an operand without a
+form by common_scale. parse_scalar alone reads a lone value of known
 mode (a Ball radius, LorenzCurve.value_at): exact values through
 Fraction, plain float text (_PLAIN_FLOAT) by float().
 """
@@ -59,16 +59,12 @@ _PLAIN_FLOAT = re.compile(
 def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar, Iterable[Scalar], Iterable[Scalar]]:
     """(tol, one, numerators, entries) of a raw row, in the mode resolve_mode picks.
 
-    Float entries are their own numerators over one = 1.0. Exact numerators
-    are the integers n * (one // q) over the lcm one of the distinct
-    denominators q of the pairs (n, q). When one is itself one of those
-    denominators, no numerator is longer than the row's longest entry plus
-    its longest denominator: they then come as a tuple, which make_vector
-    and state_to_vector keep as the vector's integer form. Else they are
-    yielded lazily, one at a time. Each exact
-    entry is built once: from the pairs of a row _plain_pairs reads,
-    lazily, or by parse_scalar, with its errors, for a row _plain_pairs
-    declines.
+    Float entries are their own numerators over one = 1.0. Exact entries
+    are read as integer pairs (n, q), which _over_lcm scales; a tuple of
+    numerators is kept by make_vector and state_to_vector as the vector's
+    integer form. Each exact entry is built once: from the pairs of a row
+    _plain_pairs reads, lazily, or by parse_scalar, with its errors, for a
+    row _plain_pairs declines.
     """
     exact, tol = resolve_mode(values, tol)
     pairs = _plain_pairs(values) if exact else None
@@ -79,10 +75,19 @@ def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar
         pairs = [e.as_integer_ratio() for e in entries]
     else:
         entries = starmap(Fraction, pairs)
+    return (tol, *_over_lcm(pairs), entries)
+
+
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[int, Iterable[int]]:
+    """(one, numerators) of integer pairs (n, q): one = the lcm of the q, each numerator n * (one // q);
+    a tuple when one is one of the q and, over more than one distinct q, the factors one // q take no
+    more bits in sum than the q, so never longer than the pairs; else yielded lazily, one at a time."""
     denominators = {q for _, q in pairs}
     one = math.lcm(*denominators)
     numerators = (n * (one // q) for n, q in pairs)
-    return tol, one, tuple(numerators) if one in denominators else numerators, entries
+    keep = one in denominators and (len(denominators) == 1 or sum(
+        (one // q).bit_length() - q.bit_length() for _, q in pairs) <= 0)
+    return one, tuple(numerators) if keep else numerators
 
 
 def _plain_pairs(values: Sequence[object]) -> list[tuple[int, int]] | None:
@@ -216,25 +221,19 @@ def lt(a: Scalar, b: Scalar, tol: float) -> bool:
     return a < b if tol == 0 else b - a > tol
 
 
-def common_scale(rows: Sequence[Sequence[Scalar]], tol: float) -> tuple[Scalar, Sequence[Iterable[Scalar]]]:
-    """Rows over one common denominator: (one, each row's numerators).
+def common_scale(row: Sequence[Scalar], tol: float) -> tuple[Scalar, Iterable[Scalar]]:
+    """A row's entries over one common denominator: (one, numerators).
 
     Exact mode reads each entry once as its pair (n, q) by
-    as_integer_ratio(), takes one = the lcm of the distinct q in the rows
-    and yields each entry lazily, one at a time, as the integer
-    n * (one // q): integers that add, compare and sort as the Fractions
-    do, at a fraction of the cost. Float mode returns the rows themselves,
-    with one = 1.0. read_row gives a raw row's numerators by the same
-    rule. The kernels scale this way only what has no integer form
-    (core._over_one): a vector whose row kept none, a kernel output or a
-    copy, and the maps of an ExtremalFamily and the center and radius of a
-    Ball, which are read as entries.
+    as_integer_ratio() and scales the pairs by _over_lcm, as read_row
+    scales a raw row's: integers that add, compare and sort as the
+    Fractions do, at a fraction of the cost. Float mode returns the row,
+    with one = 1.0. The kernels scale so what has no integer form: a kernel
+    output or copy (core._over_one), an ExtremalFamily's map, a Ball.
     """
     if tol:
-        return 1.0, rows
-    pairs = [[e.as_integer_ratio() for e in row] for row in rows]
-    one = math.lcm(*{q for row in pairs for _, q in row})
-    return one, [(n * (one // q) for n, q in row) for row in pairs]
+        return 1.0, row
+    return _over_lcm([e.as_integer_ratio() for e in row])
 
 
 def unscale(values: Iterable[Scalar], one: Scalar, tol: float) -> tuple[Scalar, ...]:

@@ -107,7 +107,7 @@ def ball_vertices(ball: Ball) -> Polytope:
     if _is_point(ball):
         return _trusted(Polytope, vertices=(center,))
     tol = center.tol
-    one, ((*x0, eps),) = common_scale((center.entries + (ball.radius,),), tol)
+    one, (*x0, eps) = common_scale(center.entries + (ball.radius,), tol)
     kept = [
         _trusted(OrderedProbVector, entries=unscale(x, q, tol), tol=tol)
         for q, x in _candidates(x0, eps, one, tol)

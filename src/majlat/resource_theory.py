@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
-from .core import OrderedProbVector, _check_dimension, _check_numerators, _Frozen, _keeping, _trusted, make_vector
+from .core import OrderedProbVector, _check_dimension, _checked_vector, _Frozen, _trusted, make_vector
 from .errors import (
     AlphaMinOutOfRangeError,
     AlphaOutOfRangeError,
@@ -25,7 +25,7 @@ from .errors import (
     NegativeProbabilityError,
 )
 from .lattice import ExtremalFamily, family_inf, family_sup
-from .numeric import leq, lt, read_row, shown, unscale
+from .numeric import leq, lt, read_row, shown
 
 
 class Direction(Enum):
@@ -91,10 +91,11 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
     squared moduli where applicable, sorted non-increasing. Exact
     amplitude components are read by numeric.read_row as integer
     numerators over one, squared, summed, sorted and checked as integers
-    over one², and built as Fractions once they are in order. The vector
-    keeps those squares as its integer form when read_row gave the
-    numerators as a tuple, as make_vector keeps a row's. Schmidt weights
-    and spectra are vector entries and enter through make_vector.
+    over one², and built as Fractions once they are in order, by the
+    door make_vector ends in (core._checked_vector). The vector keeps those
+    squares as its integer form when read_row gave the numerators as a
+    tuple, as make_vector keeps a row's. Schmidt weights and spectra are
+    vector entries and enter through make_vector.
     """
     if spec.amplitudes is not None:
         if theory is ResourceTheory.PURITY:
@@ -105,9 +106,7 @@ def state_to_vector(spec: StateSpec, theory: ResourceTheory, *, tol: float | Non
         c = (n * n for n in numerators)  # each squared modulus takes its own parts, in order
         squares = sorted((next(c) + next(c) if len(part) == 2 else next(c) for part in parts), reverse=True)
         # Squares are never negative, so only the unit-sum test can fail here.
-        _check_numerators(squares, one * one, tol, len(squares))
-        vector = _trusted(OrderedProbVector, entries=unscale(squares, one * one, tol), tol=tol)
-        return _keeping(vector, one * one, squares) if not tol and type(numerators) is tuple else vector
+        return _checked_vector(squares, one * one, tol, len(squares), keep=not tol and type(numerators) is tuple)
     if spec.schmidt_probs is not None:
         if theory is not ResourceTheory.ENTANGLEMENT:
             raise InvalidStateSpecError("Schmidt weights belong to entanglement")

@@ -96,6 +96,24 @@ def reference_make_vector(raw, *, normalize=False, sort=False, tol=None):
     return _trusted(OrderedProbVector, entries=entries, tol=tol)
 
 
+def reference_denominator(entry):
+    """The denominator numeric.read_row takes an entry over, in a row of plain strings or of
+    no strings: a plain string's unreduced one, else the Fraction's."""
+    if isinstance(entry, str):
+        p, slash, q = entry.partition("/")
+        return int(q) if slash else 10 ** len(entry.partition(".")[2])
+    return Fraction(entry).denominator
+
+
+def reference_keeps_form(denominators):
+    """The size rule of an exact vector's integer form, on the denominator of each entry
+    as the row gave it: their lcm is one of them, and the scale factors lcm // q take
+    no more bits in sum than the q (always so when the q are all equal)."""
+    one = math.lcm(*denominators)
+    factors = sum((one // q).bit_length() for q in denominators)
+    return one in denominators and factors <= sum(q.bit_length() for q in denominators)
+
+
 _CURVE_ERRORS = {NegativeEntryError: NotMonotoneError, NotSortedError: NotConcaveError,
                  NotNormalizedError: BadEndpointsError}
 
@@ -222,7 +240,7 @@ def reference_scalar_str(value):
 
 
 def reference_check_entries(entries, tol):
-    """The vector rule of core._numerators_fault, raised as _check_numerators raises
+    """The vector rule of core._numerators_fault, raised as core._checked_vector raises
     it, on parsed entries without integer numerators: Fraction comparisons and a
     Fraction sum."""
     zero = entries[0] * 0

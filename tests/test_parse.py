@@ -5,11 +5,12 @@ minus sign only before a nonzero mantissa), every other value through Fraction.
 read_row is the one reader of a raw row, as numerators over one common
 denominator: a plain exact row whole as integer pairs, any other row one entry at
 a time through parse_scalar, whose Fractions or floats it keeps as entries.
-make_vector normalizes and sorts the numerators and checks them once with
-_check_numerators. That check raises the fault _numerators_fault finds in
-one pass over either mode, exact numerators one at a time, so its memory
-holds one numerator and the total; ball listing asks _numerators_fault
-about each candidate, over its own denominator, and raises nothing.
+make_vector normalizes and sorts the numerators and checks them once in
+_checked_vector, the door it and state_to_vector end in. That check raises
+the fault _numerators_fault finds in one pass over either mode, exact
+numerators one at a time, so its memory holds one numerator and the total;
+ball listing asks _numerators_fault about each candidate, over its own
+denominator, and raises nothing.
 LorenzCurve, curve_to_vector and ExtremalFamily (its two maps as one row) check
 the numerators read_row gives with _check_cumulative: S_0, then the steps by the
 vector rule. The coherence helpers read their parameter as a one-entry row. All must behave exactly as the
@@ -42,15 +43,17 @@ from majlat import (
     two_block_family,
 )
 from majlat.cli import main
-from majlat.core import _check_numerators, _numerators_fault
+from majlat.core import _checked_vector, _numerators_fault
 from majlat.errors import MajlatError, NotNormalizedError
 from majlat.numeric import common_scale, parse_scalar, read_row, scalar_str
 
 from .oracles import (
     reference_check_entries,
     reference_curve_to_vector,
+    reference_denominator,
     reference_extremal_family,
     reference_first_component_family,
+    reference_keeps_form,
     reference_lorenz_curve,
     reference_make_vector,
     reference_ocr_first_component_bound,
@@ -342,25 +345,28 @@ _LOW = 1.0 - 1e-12 * 2
 @example((0.3,) * 10)  # a total that sum() rounds apart from a running sum on Python 3.12+
 def test_entry_check_matches_fraction_checks(entries):
     """Exact mode on the entries as Fractions, float mode on them as floats. The
-    fault _numerators_fault finds is None exactly when _check_numerators passes,
-    and otherwise builds the error _check_numerators raises."""
+    fault _numerators_fault finds is None exactly when _checked_vector builds the
+    vector of the entries, and otherwise builds the error _checked_vector raises."""
     for values, tol in ((tuple(map(Fraction, entries)), 0), (tuple(map(float, entries)), 1e-12)):
         checked = _outcome(_check_scaled, values, tol)
-        assert checked == _outcome(reference_check_entries, values, tol)
-        fault = _check_scaled(values, tol, _numerators_fault)
-        if checked is None:
-            assert fault is None
+        want = _outcome(reference_check_entries, values, tol)
+        fault = _check_scaled(values, tol, fault=True)
+        if want is None:
+            assert fault is None and checked.entries == values
         else:
+            assert checked == want
             error = fault()
             assert isinstance(error, MajlatError) and (type(error), str(error)) == checked
 
 
-def _check_scaled(entries, tol, check=_check_numerators):
-    """check (_check_numerators or _numerators_fault) on entries brought over one
-    denominator by common_scale, as make_vector's parsed rows and ball listing's
-    candidates (over their own q) reach it."""
-    one, (numerators,) = common_scale((entries,), tol)
-    return check(numerators, one, tol, len(entries))
+def _check_scaled(entries, tol, fault=False):
+    """_checked_vector, or with fault _numerators_fault, on entries brought over one
+    denominator by common_scale, as make_vector's parsed rows (beside their entries)
+    and ball listing's candidates (over their own q) reach it."""
+    one, numerators = common_scale(entries, tol)
+    if fault:
+        return _numerators_fault(numerators, one, tol, len(entries))
+    return _checked_vector(numerators, one, tol, len(entries), entries)
 
 
 def test_exact_check_holds_one_numerator_at_a_time():
@@ -378,14 +384,6 @@ def test_exact_check_holds_one_numerator_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
-
-
-def _denominator(entry):
-    """The denominator read_row takes an entry over: a plain string's unreduced one, else the Fraction's."""
-    if isinstance(entry, str):
-        p, slash, q = entry.partition("/")
-        return int(q) if slash else 10 ** len(entry.partition(".")[2])
-    return Fraction(entry).denominator
 
 
 @st.composite
@@ -411,19 +409,24 @@ def _form_rows(draw):
 @example((["1/6", "1/10", "11/15"], "ratios"), None, True, False)  # the lcm 30 is none of them: no form
 @example((["0.5", "0.25", "0.25"], "decimals"), None, False, False)  # over 100, one of the denominators
 @example(([Fraction(1, 6), Fraction(1, 2), 1], "fractions"), None, True, True)  # over the total 10: 6, 3, 1
+# over 60, but the factors 30, 20, 15, 12, 1 take 19 bits and the denominators 16: no form
+@example((["1/2", "1/3", "1/4", "1/5", "1/60"], "ratios"), None, True, True)
+# one more entry over 60: 20 bits against 22, a form, though the distinct denominators read 19 against 16
+@example((["1/2", "1/3", "1/4", "1/5", "1/60", "1/60"], "ratios"), None, True, True)
 def test_integer_form_matches_entries(data, tol, sort, normalize):
-    """make_vector keeps an exact row's integer form (one, numerators) exactly when one, the lcm
-    of the denominators read_row takes, is one of them; each numerator over one is then the
-    entry, in the vector's order, and the form is never one of the vector's fields."""
+    """make_vector keeps an exact row's integer form (one, numerators) exactly when the row
+    passes the size rule (reference_keeps_form) on the denominators read_row takes; each
+    numerator over one is then the entry, in the vector's order, and the form is never one
+    of the vector's fields."""
     row, route = data
     try:
         vector = make_vector(row, tol=tol, sort=sort, normalize=normalize)
     except MajlatError:
         return
     assert tuple(vars(vector)) == ("entries", "tol")
-    denominators = set(map(_denominator, row))
     form = getattr(vector, "_form", None)
-    assert (form is not None) == (tol is None and math.lcm(*denominators) in denominators), (row, route)
+    keeps = tol is None and reference_keeps_form(list(map(reference_denominator, row)))
+    assert (form is not None) == keeps, (row, route)
     if form is not None:
         one, numerators = form
         assert type(one) is int and one > 0 and len(numerators) == vector.d
@@ -445,6 +448,23 @@ def test_row_past_the_size_rule_keeps_no_form():
         tracemalloc.stop()
     assert getattr(vector, "_form", None) is None and vector.d == 500
     assert peak < 2_000_000
+
+
+def test_form_is_never_longer_than_its_row():
+    """8000 entries, 7998 of them 1/8000 and two over 10**4000, sum to one. Their lcm
+    10**4000 is one of the denominators, but its 7998 factors 10**4000 // 8000 take
+    about 13 MB as numerators where the row's pairs take 60 KB: the size rule keeps
+    no form, and the vector holds its 8000 entries, under 1 MB, and no more."""
+    a = 10**4000 // 8000
+    row = [f"{a + 1}/{10**4000}"] + ["1/8000"] * 7998 + [f"{a - 1}/{10**4000}"]
+    tracemalloc.start()
+    try:
+        vector = make_vector(row)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert getattr(vector, "_form", None) is None and vector.d == 8000
+    assert held < 2_000_000
 
 
 @pytest.mark.parametrize("row", [

@@ -164,7 +164,7 @@ class TestBallVertices:
             if mode == "float":
                 center, radius = center.to_float(), float(radius)
             tol = center.tol
-            one, ((*x0, eps),) = common_scale((center.entries + (radius,),), tol)
+            one, (*x0, eps) = common_scale(center.entries + (radius,), tol)
             for q, x in _candidates(x0, eps, one, tol):
                 want = reference_feasible(unscale(x, q, tol), center.entries, radius, tol)
                 assert _feasible(x, q, x0, eps, one, tol) == want
@@ -205,7 +205,7 @@ class TestBallVertices:
             radius = Fraction(rng.randint(1, 40), 40)
             if mode == "float":
                 center, radius = center.to_float(), float(radius)
-            one, ((*x0, eps),) = common_scale((center.entries + (radius,),), center.tol)
+            one, (*x0, eps) = common_scale(center.entries + (radius,), center.tol)
             list(_candidates(x0, eps, one, center.tol))
         tol = 0 if mode == "exact" else 1e-12
         singular = []
@@ -215,7 +215,7 @@ class TestBallVertices:
             a, b, s, t = rng.randrange(n - 1), rng.randrange(n - 1), rng.randint(-1, 1), rng.randint(-1, 1)
             matrix.insert(rng.randint(0, n - 1), [s * u + t * v for u, v in zip(matrix[a], matrix[b])])
             rhs = [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(n)]
-            one, (numerators,) = common_scale((rhs if tol == 0 else [float(v) for v in rhs],), tol)
+            one, numerators = common_scale(rhs if tol == 0 else [float(v) for v in rhs], tol)
             singular.append(([(*row, v) for row, v in zip(matrix, numerators)], one, tol))
         outcomes = set()
         for rows, one, tol in systems + singular:

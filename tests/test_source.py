@@ -2,6 +2,8 @@
 
 Every name a module of src/majlat imports is used in that module. The
 package's __init__.py is left out: its imports are the public re-exports.
+Every private name a module defines at its top level is read somewhere in
+src/majlat, so no helper is left behind that only tests call.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "majlat"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SRC.glob("*.py")}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -37,6 +40,39 @@ def test_every_module_is_checked():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = TREES[path.name]
     unused = {name: line for name, line in _imported(tree).items() if name not in _used(tree)}
     assert not unused, f"{path.name} imports names it never uses (name: line): {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name (one leading underscore, not a dunder) that the module's top level
+    binds by def, class or assignment, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in names.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name the module reads: as a name, as an attribute, or imported from another module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_name_is_read():
+    read = set().union(*map(_reads, TREES.values()))
+    unread = {f"{module}:{line} {name}" for module, tree in TREES.items()
+              for name, line in _private_definitions(tree).items() if name not in read}
+    assert not unread, f"private names src/majlat defines and never reads: {sorted(unread)}"
