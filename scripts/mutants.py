@@ -114,6 +114,11 @@ MUTANTS = [
     ("differences taken backwards", "core.py", [("map(sub, sums[1:], sums)", "map(sub, sums, sums[1:])")], [KERNELS]),
     ("PAV means as total / (count * one)", "lattice.py",
      [("Fraction(total, count * one) if tol == 0", "total / (count * one) if tol == 0")], [KERNELS]),
+    ("family_sup differences the suprema, not their envelope", "lattice.py",
+     [("entries=_differences(envelope)", "entries=_differences(unscale(maxes, one, tol))")], [KERNELS]),
+    ("curve_to_vector builds an exact vector from any curve", "core.py",
+     [("entries=_differences(curve.values), tol=curve.tol)", "entries=_differences(curve.values), tol=0.0)")],
+     [CURVES]),
     ("one from the first row only", "core.py",
      [("one = math.lcm(*{o for o, _ in forms})", "one = math.lcm(*{o for o, _ in forms[:1]})")], [KERNELS]),
     ("ascending sort of squares", "resource_theory.py",
@@ -161,10 +166,13 @@ MUTANTS = [
      [("pairs = _plain_pairs(values) if exact else None", "pairs = _plain_pairs(values)")],
      ["tests/test_parse.py::test_float_mode_signed_zero"]),
     ("read_row rebuilds a declined row's entries from its pairs", "numeric.py",
-     [("        pairs = [e.as_integer_ratio() for e in entries]\n",
-       "        pairs = [e.as_integer_ratio() for e in entries]\n"
-       "        entries = tuple(Fraction(e.numerator, e.denominator) for e in entries)\n")],
+     [("        return (tol, *common_scale(entries, tol), entries)\n",
+       "        if exact:\n"
+       "            entries = tuple(Fraction(e.numerator, e.denominator) for e in entries)\n"
+       "        return (tol, *common_scale(entries, tol), entries)\n")],
      ["tests/test_parse.py::test_declined_row_keeps_parsed_entries"]),
+    ("read_row scales a declined float row as exact", "numeric.py",
+     [("common_scale(entries, tol), entries)", "common_scale(entries, 0), entries)")], [ROWS]),
     ("make_vector's numerators unchecked", "core.py",
      [("    fault = _numerators_fault(numerators, one, tol, d)\n    if fault:\n        raise fault()\n", "")], [ROWS]),
     # The integer form (one, numerators) a vector keeps from its parse under numeric._over_lcm's size

@@ -20,7 +20,14 @@ the standard library and majlat from this checkout. It runs:
   references on seeded inputs, in exact and float mode: the float
   logarithm of scalar_str, Fraction.as_integer_ratio, by which
   common_scale reads a row of entries, and float sums, whose rounding
-  changed in 3.12.
+  changed in 3.12;
+- float against exact on seeded families (d <= 9, 1 to 5 members, some
+  with a last member nudged by a few multiples of 1e-13): family_inf,
+  family_sup, meet, join, steepest_approx and flattest_approx of the
+  to_float() copies are each within d * tol of the exact result entry by
+  entry, and compare of two copies differs from the exact ordering only
+  where a prefix-sum gap of the pair is nonzero and within tol (and the
+  d * 2**-52 by which float prefix sums can round).
 
 Exit status: 0 when every interpreter found passes, 1 when one fails. Not a
 tier-1 test: the interpreters need not be there.
@@ -138,10 +145,50 @@ def _references():
     return f"{len(scalars)} scalar_str, {pairs} compare, {states} state_to_vector"
 
 
+def _float_copies():
+    import random
+    from fractions import Fraction
+    from itertools import accumulate, product
+
+    from majlat import (Ball, compare, family_inf, family_sup, flattest_approx, join, make_vector, meet,
+                        steepest_approx)
+    from tests.oracles import random_grid_vector
+
+    rng = random.Random(35)
+    families, results, orderings, differ = 4000, 0, 0, 0
+    for _ in range(families):
+        d = rng.randint(1, 9)
+        members = [random_grid_vector(rng, d, rng.choice((4, 10, 12, 60, 10**13))) for _ in range(rng.randint(1, 5))]
+        if d > 1 and rng.random() < 0.25:  # a near copy of the first member, a few units of 1e-13 apart
+            moved = Fraction(rng.randint(1, 20), 10**13)
+            first = members[0].entries
+            members.append(make_vector([first[0] - moved, *first[1:-1], first[-1] + moved], sort=True))
+        copies = [m.to_float() for m in members]
+        tol = copies[0].tol
+        (x, fx), (y, fy) = (members[0], copies[0]), (members[-1], copies[-1])
+        eps = Fraction(rng.randint(0, 20), 20)
+        for exact, approx in ((family_inf(members), family_inf(copies)), (family_sup(members), family_sup(copies)),
+                              (meet(x, y), meet(fx, fy)), (join(x, y), join(fx, fy)),
+                              (steepest_approx(Ball(x, eps)), steepest_approx(Ball(fx, float(eps)))),
+                              (flattest_approx(Ball(x, eps)), flattest_approx(Ball(fx, float(eps))))):
+            off = max(abs(float(a) - b) for a, b in zip(exact.entries, approx.entries))
+            assert approx.tol == tol and off <= d * tol, (members, exact, approx)
+            results += 1
+        for i, j in product(range(len(members)), repeat=2):
+            if compare(copies[i], copies[j]) is not compare(members[i], members[j]):
+                gaps = [a - b for a, b in zip(accumulate(members[i].entries), accumulate(members[j].entries))]
+                slack = tol + d * sys.float_info.epsilon  # tol, and the rounding of the float prefix sums
+                assert any(0 < abs(g) <= slack for g in gaps[:-1]), (members[i], members[j])
+                differ += 1
+            orderings += 1
+    return (f"{families} families, {results} results within d * tol, "
+            f"{orderings} orderings ({differ} differ at a gap within tol)")
+
+
 def child() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     failed = 0
-    for check in (_examples, _readme, _round_trips, _references):
+    for check in (_examples, _readme, _round_trips, _references, _float_copies):
         try:
             print(f"  {check.__name__.strip('_'):<12} ok: {check()}")
         except Exception as exc:

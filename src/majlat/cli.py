@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     ball.add_argument("--center", metavar="V", help="comma-separated center entries")
     ball.add_argument("--eps", metavar="E", required=True, help="l1 radius")
     ball_group = ball.add_mutually_exclusive_group()
-    ball_group.add_argument("--vertices", dest="which", action="store_const", const="vertices")
     ball_group.add_argument("--inf", dest="which", action="store_const", const="inf")
     ball_group.add_argument("--sup", dest="which", action="store_const", const="sup")
 

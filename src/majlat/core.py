@@ -347,11 +347,6 @@ def _differences(sums: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(map(sub, sums[1:], sums))
 
 
-def _from_sums(sums: Sequence[Scalar], tol: float) -> OrderedProbVector:
-    """Finite differences of valid cumulative values S_0..S_d, trusted."""
-    return _trusted(OrderedProbVector, entries=_differences(sums), tol=tol)
-
-
 def partial_sums(x: OrderedProbVector) -> LorenzCurve:
     """Lorenz curve of x: the points (k, S_k) for k = 0..d."""
     return _trusted(LorenzCurve, values=cumulative_sums(x.entries), tol=x.tol)
@@ -365,7 +360,7 @@ def curve_to_vector(curve) -> OrderedProbVector:
     """
     if not isinstance(curve, LorenzCurve):
         curve = LorenzCurve(curve)
-    return _from_sums(curve.values, curve.tol)
+    return _trusted(OrderedProbVector, entries=_differences(curve.values), tol=curve.tol)
 
 
 def pair_tolerance(x: OrderedProbVector, y: OrderedProbVector) -> float:

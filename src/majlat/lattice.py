@@ -3,13 +3,13 @@
 The pairwise meet takes per-index minima of prefix sums; a minimum of
 concave curves is concave, so the differences are already sorted. The
 pairwise join is the pool-adjacent-violators (antitonic) regression of
-the max-prefix-sum differences, one O(d) pass; the family supremum takes
-the least concave majorant of the max prefix sums. On two members these
-are independent algorithms for the same bound, and the tests hold them
-to agree. A family is either a non-empty sequence of vectors or an
-ExtremalFamily: its per-index prefix-sum extrema, the only data the
-family bounds depend on, which is how continuously parametrized families
-are handled.
+the max-prefix-sum differences, one O(d) pass; the family supremum still
+takes the least concave majorant of the max prefix sums by a quadratic
+scan, until join's pass replaces it; tests/oracles.py holds the reference
+of each bound for the tests. A family is either a non-empty sequence of
+vectors or an ExtremalFamily: its per-index prefix-sum extrema, the only
+data the family bounds depend on, which is how continuously parametrized
+families are handled.
 
 Exact kernels compute on integer numerators over one common denominator:
 the lcm of the denominators of the operands' integer forms, the numerators
@@ -36,7 +36,6 @@ from .core import (
     OrderedProbVector,
     _check_cumulative,
     _differences,
-    _from_sums,
     _Frozen,
     _over_one,
     _trusted,
@@ -188,4 +187,5 @@ def family_sup(family) -> OrderedProbVector:
     envelope still runs on their Fractions.
     """
     maxes, one, tol = _fold(family, max)
-    return _from_sums(_upper_envelope(unscale(maxes, one, tol), tol), tol)
+    envelope = _upper_envelope(unscale(maxes, one, tol), tol)
+    return _trusted(OrderedProbVector, entries=_differences(envelope), tol=tol)

@@ -12,8 +12,8 @@ two maps as one row, and each coherence parameter as a one-entry row. It
 gives the entries and their numerators over one common denominator,
 integers in exact mode: a plain exact row of decimal and ratio strings in
 one regular-expression match as integer pairs (n, q), any other row value
-by value through parse_scalar. _over_lcm scales the pairs, for read_row
-and for common_scale (a row of built entries); under its size rule the
+by value through parse_scalar. _over_lcm scales a plain row's pairs, and
+common_scale every row of built entries; under _over_lcm's size rule the
 vector built from the numerators keeps them as its integer form, and the
 kernels start from them (core._over_one), scaling an operand without a
 form by common_scale. parse_scalar alone reads a lone value of known
@@ -59,23 +59,19 @@ _PLAIN_FLOAT = re.compile(
 def read_row(values: Sequence[object], tol: float | None) -> tuple[float, Scalar, Iterable[Scalar], Iterable[Scalar]]:
     """(tol, one, numerators, entries) of a raw row, in the mode resolve_mode picks.
 
-    Float entries are their own numerators over one = 1.0. Exact entries
-    are read as integer pairs (n, q), which _over_lcm scales; a tuple of
-    numerators is kept by make_vector and state_to_vector as the vector's
-    integer form. Each exact entry is built once: from the pairs of a row
-    _plain_pairs reads, lazily, or by parse_scalar, with its errors, for a
-    row _plain_pairs declines.
+    A row _plain_pairs reads is scaled from its integer pairs (n, q) by
+    _over_lcm, and its Fractions are built from them lazily. Every other
+    row (float rows, exact rows _plain_pairs declines) is built entry by
+    entry by parse_scalar, with its errors, and scaled by common_scale.
+    make_vector and state_to_vector keep a tuple of numerators as the
+    vector's integer form.
     """
     exact, tol = resolve_mode(values, tol)
     pairs = _plain_pairs(values) if exact else None
     if pairs is None:
         entries = tuple(parse_scalar(v, exact) for v in values)
-        if not exact:
-            return tol, 1.0, entries, entries
-        pairs = [e.as_integer_ratio() for e in entries]
-    else:
-        entries = starmap(Fraction, pairs)
-    return (tol, *_over_lcm(pairs), entries)
+        return (tol, *common_scale(entries, tol), entries)
+    return (tol, *_over_lcm(pairs), starmap(Fraction, pairs))
 
 
 def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[int, Iterable[int]]:
@@ -226,10 +222,12 @@ def common_scale(row: Sequence[Scalar], tol: float) -> tuple[Scalar, Iterable[Sc
 
     Exact mode reads each entry once as its pair (n, q) by
     as_integer_ratio() and scales the pairs by _over_lcm, as read_row
-    scales a raw row's: integers that add, compare and sort as the
+    scales a plain row's: integers that add, compare and sort as the
     Fractions do, at a fraction of the cost. Float mode returns the row,
-    with one = 1.0. The kernels scale so what has no integer form: a kernel
-    output or copy (core._over_one), an ExtremalFamily's map, a Ball.
+    with one = 1.0. The one path from built entries to numerators: a row
+    read_row reads value by value, and in the kernels what has no integer
+    form, a kernel output or copy (core._over_one), an ExtremalFamily's
+    map, a Ball.
     """
     if tol:
         return 1.0, row

@@ -292,6 +292,11 @@ class TestExitCodes:
     def test_lorenz_requires_svg(self, pair_file):
         assert run_cli("lorenz", "-i", pair_file) == 2
 
+    def test_ball_has_no_vertices_option(self, capsys):
+        # ball lists the vertices unless --inf or --sup asks for a bound; no flag restates that
+        assert run_cli("ball", "--center", "0.5,0.5", "--eps", "0.1", "--vertices") == 2
+        assert "unrecognized arguments: --vertices" in capsys.readouterr().err
+
     def test_float_json_numbers_rejected_in_exact_mode(self, tmp_path):
         path = tmp_path / "floats.json"
         path.write_text(json.dumps({"vectors": [[0.6, 0.4], [0.5, 0.5]]}), encoding="utf-8")

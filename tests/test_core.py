@@ -140,6 +140,13 @@ class TestLorenzCurve:
     def test_round_trip(self, v):
         assert curve_to_vector(partial_sums(v)) == v
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_float_curve_gives_float_vector(self, tol):
+        # dyadic entries, so the sums and their differences are exact in floats
+        v = make_vector([0.5, 0.25, 0.125, 0.125], tol=tol)
+        assert curve_to_vector(partial_sums(v)) == v
+        assert curve_to_vector(LorenzCurve([0.0, 0.5, 0.75, 0.875, 1.0], tol)) == v
+
     @given(vectors())
     def test_round_trip_other_direction(self, v):
         curve = partial_sums(v)

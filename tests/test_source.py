@@ -3,10 +3,13 @@
 Every name a module of src/majlat imports is used in that module. The
 package's __init__.py is left out: its imports are the public re-exports.
 Every private name a module defines at its top level is read somewhere in
-src/majlat, so no helper is left behind that only tests call.
+src/majlat, so no helper is left behind that only tests call. Every
+absolute import names a module of the standard library, so the package
+needs nothing installed beside Python.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,24 @@ def test_no_unused_imports(path):
     tree = TREES[path.name]
     unused = {name: line for name, line in _imported(tree).items() if name not in _used(tree)}
     assert not unused, f"{path.name} imports names it never uses (name: line): {unused}"
+
+
+def _absolute_imports(tree: ast.Module) -> dict[str, int]:
+    """The top-level package of each absolute import, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.name.partition(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names[node.module.partition(".")[0]] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_imports_only_the_standard_library(module):
+    foreign = {name: line for name, line in _absolute_imports(TREES[module]).items()
+               if name != "__future__" and name not in sys.stdlib_module_names}
+    assert not foreign, f"{module} imports modules outside the standard library (name: line): {foreign}"
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
