@@ -115,10 +115,21 @@ MUTANTS = [
     ("PAV means as total / (count * one)", "lattice.py",
      [("Fraction(total, count * one) if tol == 0", "total / (count * one) if tol == 0")], [KERNELS]),
     ("family_sup differences the suprema, not their envelope", "lattice.py",
-     [("entries=_differences(envelope)", "entries=_differences(unscale(maxes, one, tol))")], [KERNELS]),
+     [("entries=unscale(_differences(envelope), one, tol)", "entries=unscale(_differences(maxes), one, tol)")],
+     [KERNELS]),
+    ("family_sup entries left over one", "lattice.py",
+     [("entries=unscale(_differences(envelope), one, tol)", "entries=_differences(envelope)")], [KERNELS]),
+    ("exact envelope slopes by /", "lattice.py",
+     [("Fraction(vals[j] - base, j - i) if exact", "(vals[j] - base) / (j - i) if exact")],
+     ["tests/test_lattice.py::TestUpperEnvelope::test_exact_slopes_at_any_numerator_size"]),
+    ("exact envelope steps by /", "lattice.py",
+     [("step = Fraction(rise, run) if exact else rise / run", "step = rise / run")],
+     ["tests/test_lattice.py::TestUpperEnvelope::test_integer_numerators_scale_the_envelope"]),
     ("curve_to_vector builds an exact vector from any curve", "core.py",
      [("entries=_differences(curve.values), tol=curve.tol)", "entries=_differences(curve.values), tol=0.0)")],
      [CURVES]),
+    ("curve_to_vector reads a raw row with tol 0", "core.py",
+     [("curve = LorenzCurve(curve, tol=None)", "curve = LorenzCurve(curve)")], [CURVES]),
     ("one from the first row only", "core.py",
      [("one = math.lcm(*{o for o, _ in forms})", "one = math.lcm(*{o for o, _ in forms[:1]})")], [KERNELS]),
     ("ascending sort of squares", "resource_theory.py",

@@ -355,11 +355,13 @@ def partial_sums(x: OrderedProbVector) -> LorenzCurve:
 def curve_to_vector(curve) -> OrderedProbVector:
     """Finite differences of a Lorenz curve; inverse of partial_sums.
 
-    Accepts a LorenzCurve or a raw cumulative sequence, which LorenzCurve
-    checks first: its steps are the entries returned, by the vector rule.
+    Accepts a LorenzCurve, whose tolerance the vector keeps, or a raw
+    cumulative sequence, which LorenzCurve checks first in the mode
+    resolve_mode picks for it (tol=None): its steps are the entries
+    returned, by the vector rule.
     """
     if not isinstance(curve, LorenzCurve):
-        curve = LorenzCurve(curve)
+        curve = LorenzCurve(curve, tol=None)
     return _trusted(OrderedProbVector, entries=_differences(curve.values), tol=curve.tol)
 
 

@@ -5,11 +5,11 @@ concave curves is concave, so the differences are already sorted. The
 pairwise join is the pool-adjacent-violators (antitonic) regression of
 the max-prefix-sum differences, one O(d) pass; the family supremum still
 takes the least concave majorant of the max prefix sums by a quadratic
-scan, until join's pass replaces it; tests/oracles.py holds the reference
-of each bound for the tests. A family is either a non-empty sequence of
-vectors or an ExtremalFamily: its per-index prefix-sum extrema, the only
-data the family bounds depend on, which is how continuously parametrized
-families are handled.
+scan, until join's pass replaces it (ROADMAP item 3, after item 1a);
+tests/oracles.py holds the reference of each bound for the tests. A
+family is either a non-empty sequence of vectors or an ExtremalFamily:
+its per-index prefix-sum extrema, the only data the family bounds depend
+on, which is how continuously parametrized families are handled.
 
 Exact kernels compute on integer numerators over one common denominator:
 the lcm of the denominators of the operands' integer forms, the numerators
@@ -17,8 +17,9 @@ each vector kept from its parse (core._over_one), each form scaled by one
 integer factor; an operand without a form gets one from its entries
 (numeric.common_scale). On those numerators the kernels take prefix sums,
 their minima and maxima, and the join's block means, compared by
-cross-multiplying. Fractions are built only for the result entries, and for
-the prefix-sum suprema that the family supremum's envelope still takes.
+cross-multiplying; the family supremum's envelope scans the integer
+suprema too. Fractions are built only for the result entries, and for the
+envelope's slopes, each the Fraction of an integer rise over its run.
 Float kernels compute on the floats themselves, so their results are the
 same bit for bit as those of plain float arithmetic.
 
@@ -150,16 +151,21 @@ def _upper_envelope(vals: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
     Scans left to right: from index i, jump to the last index attaining
     the maximum slope among all remaining points (float mode merges slope
     ties within tolerance toward the later index). The interpolation
-    through the kept indices is the envelope.
+    through the kept indices is the envelope. Exact values may be integer
+    numerators over one common denominator, as family_sup passes them:
+    each slope is the Fraction of a rise over its run, and the envelope
+    is over the same denominator. Float values are floats over 1.0.
     """
+    exact = tol == 0
     d = len(vals) - 1
     kept = [0]
     i = 0
     while i < d:
         best = None
         best_j = None
+        base = vals[i]
         for j in range(i + 1, d + 1):
-            slope = (vals[j] - vals[i]) / (j - i)
+            slope = Fraction(vals[j] - base, j - i) if exact else (vals[j] - base) / (j - i)
             if best is None or slope > best:
                 best, best_j = slope, j
             elif geq(slope, best, tol):
@@ -168,7 +174,8 @@ def _upper_envelope(vals: Sequence[Scalar], tol: float) -> tuple[Scalar, ...]:
         i = best_j
     env = [vals[0]]
     for left, right in zip(kept, kept[1:]):
-        step = (vals[right] - vals[left]) / (right - left)
+        rise, run = vals[right] - vals[left], right - left
+        step = Fraction(rise, run) if exact else rise / run
         for k in range(left + 1, right + 1):
             env.append(vals[right] if k == right else vals[left] + step * (k - left))
     return tuple(env)
@@ -183,9 +190,11 @@ def family_inf(family) -> OrderedProbVector:
 def family_sup(family) -> OrderedProbVector:
     """Least upper bound of a family via the envelope of prefix-sum suprema.
 
-    The suprema are folded on integer numerators in exact mode; the
-    envelope still runs on their Fractions.
+    The envelope scans the suprema as _fold gives them, integer numerators
+    over one in exact mode, so Fractions are built only for its slopes and
+    for the result entries. The quadratic scan stays until join's pass
+    replaces it (ROADMAP item 3, after item 1a).
     """
     maxes, one, tol = _fold(family, max)
-    envelope = _upper_envelope(unscale(maxes, one, tol), tol)
-    return _trusted(OrderedProbVector, entries=_differences(envelope), tol=tol)
+    envelope = _upper_envelope(maxes, tol)
+    return _trusted(OrderedProbVector, entries=unscale(_differences(envelope), one, tol), tol=tol)

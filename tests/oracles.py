@@ -145,8 +145,9 @@ def reference_lorenz_curve(values, tol=0.0):
 
 
 def reference_curve_to_vector(curve):
-    """curve_to_vector of a raw cumulative row, built by reference_lorenz_curve."""
-    curve = reference_lorenz_curve(curve)
+    """curve_to_vector of a raw cumulative row, built by reference_lorenz_curve in the
+    mode the row picks (tol=None)."""
+    curve = reference_lorenz_curve(curve, None)
     return reference_from_sums(curve.values, curve.tol)
 
 

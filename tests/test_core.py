@@ -147,6 +147,15 @@ class TestLorenzCurve:
         assert curve_to_vector(partial_sums(v)) == v
         assert curve_to_vector(LorenzCurve([0.0, 0.5, 0.75, 0.875, 1.0], tol)) == v
 
+    def test_raw_row_picks_its_mode(self):
+        # a raw row is read with tol=None, as make_vector reads one
+        v = curve_to_vector([0.0, 0.5, 1.0])
+        assert v == make_vector([0.5, 0.5]) and v.entries == (0.5, 0.5) and not v.is_exact
+        assert curve_to_vector(["0", "2/3", "1"]).entries == (Fraction(2, 3), Fraction(1, 3))
+        assert curve_to_vector(LorenzCurve([0.0, 0.5, 1.0], 1e-6)).tol == 1e-6
+        with pytest.raises(ModeMismatchError):
+            curve_to_vector([0.0, "0.5", 1.0])
+
     @given(vectors())
     def test_round_trip_other_direction(self, v):
         curve = partial_sums(v)

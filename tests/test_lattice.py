@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -185,6 +186,23 @@ class TestUpperEnvelope:
         assert _upper_envelope(values, 0.0) == oracle
         differences = [b - a for a, b in zip(values, values[1:])]
         assert cumulative_sums(_flatten(differences, 1, 0.0)) == oracle
+
+    @given(monotone_profiles())
+    def test_integer_numerators_scale_the_envelope(self, values):
+        # family_sup scans integer numerators over one common denominator q
+        q = math.lcm(*(v.denominator for v in values))
+        numerators = [int(v * q) for v in values]
+        envelope = _upper_envelope(numerators, 0.0)
+        assert not any(isinstance(e, float) for e in envelope)
+        assert envelope == tuple(q * e for e in _upper_envelope(values, 0.0))
+
+    def test_exact_slopes_at_any_numerator_size(self):
+        # from 0 the slopes 2**60 and 2**60 - 1/2 round to one float, which would tie them
+        one = 2**61 - 1
+        concave = (0, 2**60, one, one)
+        assert _upper_envelope(concave, 0.0) == concave
+        x = make_vector([Fraction(2**60, one), Fraction(2**60 - 1, one), 0])
+        assert family_sup((x,)) == x
 
     @given(monotone_profiles(max_d=5))
     def test_minimality_over_grid_majorants(self, values):
