@@ -115,10 +115,15 @@ MUTANTS = [
     ("PAV means as total / (count * one)", "lattice.py",
      [("Fraction(total, count * one) if tol == 0", "total / (count * one) if tol == 0")], [KERNELS]),
     ("family_sup differences the suprema, not their envelope", "lattice.py",
-     [("entries=unscale(_differences(envelope), one, tol)", "entries=unscale(_differences(maxes), one, tol)")],
+     [("steps = _differences(_upper_envelope(maxes, tol))", "steps = _differences(maxes)")], [KERNELS]),
+    ("family_sup entries left over one", "lattice.py", [("entries=unscale(steps, one, tol)", "entries=steps")],
      [KERNELS]),
-    ("family_sup entries left over one", "lattice.py",
-     [("entries=unscale(_differences(envelope), one, tol)", "entries=_differences(envelope)")], [KERNELS]),
+    # family_sup's shortcut: exact suprema whose steps never rise are their own envelope.
+    ("shortcut in float mode", "lattice.py", [("if tol or any(map(gt,", "if any(map(gt,")], [KERNELS]),
+    ("shortcut for every exact family", "lattice.py",
+     [("if tol or any(map(gt, steps[1:], steps)):", "if tol:")], [KERNELS]),
+    ("shortcut never taken", "lattice.py", [("if tol or any(map(gt, steps[1:], steps)):", "if True:")],
+     ["tests/test_lattice.py::TestFamilies::test_concave_exact_suprema_skip_the_scan"]),
     ("exact envelope slopes by /", "lattice.py",
      [("Fraction(vals[j] - base, j - i) if exact", "(vals[j] - base) / (j - i) if exact")],
      ["tests/test_lattice.py::TestUpperEnvelope::test_exact_slopes_at_any_numerator_size"]),

@@ -3,13 +3,15 @@
 The pairwise meet takes per-index minima of prefix sums; a minimum of
 concave curves is concave, so the differences are already sorted. The
 pairwise join is the pool-adjacent-violators (antitonic) regression of
-the max-prefix-sum differences, one O(d) pass; the family supremum still
-takes the least concave majorant of the max prefix sums by a quadratic
-scan, until join's pass replaces it (ROADMAP item 3, after item 1a);
-tests/oracles.py holds the reference of each bound for the tests. A
-family is either a non-empty sequence of vectors or an ExtremalFamily:
-its per-index prefix-sum extrema, the only data the family bounds depend
-on, which is how continuously parametrized families are handled.
+the max-prefix-sum differences, one O(d) pass; the family supremum is
+the least concave majorant of the max prefix sums, which are their own
+majorant when concave (checked in exact mode only) and otherwise go
+through a quadratic scan, until join's pass replaces both (ROADMAP item
+3, after item 1a); tests/oracles.py holds the reference of each bound for
+the tests. A family is either a non-empty sequence of vectors or an
+ExtremalFamily: its per-index prefix-sum extrema, the only data the
+family bounds depend on, which is how continuously parametrized families
+are handled.
 
 Exact kernels compute on integer numerators over one common denominator:
 the lcm of the denominators of the operands' integer forms, the numerators
@@ -17,8 +19,9 @@ each vector kept from its parse (core._over_one), each form scaled by one
 integer factor; an operand without a form gets one from its entries
 (numeric.common_scale). On those numerators the kernels take prefix sums,
 their minima and maxima, and the join's block means, compared by
-cross-multiplying; the family supremum's envelope scans the integer
-suprema too. Fractions are built only for the result entries, and for the
+cross-multiplying; the family supremum differences the integer suprema
+to test them for concavity, and its envelope scans them when they are
+not. Fractions are built only for the result entries, and for the
 envelope's slopes, each the Fraction of an integer rise over its run.
 Float kernels compute on the floats themselves, so their results are the
 same bit for bit as those of plain float arithmetic.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from operator import gt
 from typing import Sequence
 
 from .core import (
@@ -190,11 +194,18 @@ def family_inf(family) -> OrderedProbVector:
 def family_sup(family) -> OrderedProbVector:
     """Least upper bound of a family via the envelope of prefix-sum suprema.
 
-    The envelope scans the suprema as _fold gives them, integer numerators
-    over one in exact mode, so Fractions are built only for its slopes and
-    for the result entries. The quadratic scan stays until join's pass
-    replaces it (ROADMAP item 3, after item 1a).
+    In exact mode, suprema whose steps never rise are concave, and a
+    concave polygon is its own least concave majorant: their steps over one
+    are the entries. Other suprema go through the envelope scan, which
+    takes them as _fold gives them (integer numerators over one in exact
+    mode), so Fractions are built only for its slopes and for the result
+    entries. Float suprema are always scanned, because the scan's
+    interpolation of a collinear run can differ from the suprema in the
+    last bit. The shortcut and the quadratic scan stay until join's pass
+    replaces both (ROADMAP item 3, after item 1a).
     """
     maxes, one, tol = _fold(family, max)
-    envelope = _upper_envelope(maxes, tol)
-    return _trusted(OrderedProbVector, entries=unscale(_differences(envelope), one, tol), tol=tol)
+    steps = _differences(maxes)
+    if tol or any(map(gt, steps[1:], steps)):
+        steps = _differences(_upper_envelope(maxes, tol))
+    return _trusted(OrderedProbVector, entries=unscale(steps, one, tol), tol=tol)

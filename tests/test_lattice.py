@@ -36,11 +36,19 @@ from majlat import (
     steepest_approx,
     top,
 )
+from majlat import lattice
 from majlat.core import MajOrdering
 from majlat.lattice import _flatten, _upper_envelope
 from majlat.numeric import cumulative_sums
 
-from .oracles import chord_envelope, grid_vectors, random_grid_vector, reference_upper_envelope
+from .oracles import (
+    chord_envelope,
+    grid_vectors,
+    random_grid_vector,
+    reference_family_inf,
+    reference_family_sup,
+    reference_upper_envelope,
+)
 from .strategies import monotone_profiles, vector_families, vector_pairs, vector_triples, vectors
 
 FIG_X = ["0.6", "0.16", "0.16", "0.08"]
@@ -49,6 +57,14 @@ FIG_Y = ["0.5", "0.3", "0.1", "0.1"]
 
 def exact(*values):
     return [Fraction(v) for v in values]
+
+
+class _Scanned(Exception):
+    """The envelope scan ran where a test refused it."""
+
+
+def _refused_scan(vals, tol):
+    raise _Scanned
 
 
 class TestMeetJoin:
@@ -203,6 +219,15 @@ class TestUpperEnvelope:
         assert _upper_envelope(concave, 0.0) == concave
         x = make_vector([Fraction(2**60, one), Fraction(2**60 - 1, one), 0])
         assert family_sup((x,)) == x
+        # y overtakes x at k = 4, so the suprema are not concave and family_sup scans them; from 0
+        # the slopes 8q and 8q - 1/2 round to one float again
+        q = 2**56
+        x = make_vector([Fraction(n, one) for n in (8 * q, 8 * q - 1, 4 * q, 4 * q, 4 * q, 4 * q)])
+        y = make_vector([Fraction(n, one) for n in (13 * q // 2,) * 4 + (3 * q, 3 * q - 1)])
+        pooled = Fraction(10 * q + 1, 2 * one)
+        assert family_sup((x, y)).entries == (
+            Fraction(8 * q, one), Fraction(8 * q - 1, one), pooled, pooled, Fraction(3 * q, one),
+            Fraction(3 * q - 1, one))
 
     @given(monotone_profiles(max_d=5))
     def test_minimality_over_grid_majorants(self, values):
@@ -254,6 +279,30 @@ class TestFamilies:
             low, high = meet(low, m), join(high, m)
         assert family_inf(members) == low
         assert family_sup(members) == high
+
+    @given(vector_families(min_size=1, max_size=3))
+    @example((make_vector(FIG_X), make_vector(FIG_Y)))
+    def test_concave_exact_suprema_skip_the_scan(self, members):
+        # the suprema of a family with a member that majorizes the others are that member's
+        # Lorenz curve, so they are concave, as is the upper map built from them
+        top_member = reference_family_sup(members)
+        extremal = ExtremalFamily(top_member.d, partial_sums(reference_family_inf(members)).values,
+                                  partial_sums(top_member).values)
+        for family in ((top_member, *members), extremal):
+            want = reference_family_sup(family)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lattice, "_upper_envelope", _refused_scan)
+                assert family_sup(family) == want == top_member
+
+    def test_other_suprema_are_scanned(self, monkeypatch):
+        # exact suprema that are not concave (steps 0.48, 0.2, 0.22, 0.1), and float suprema even
+        # when concave (a singleton, and FIG_X with FIG_Y)
+        monkeypatch.setattr(lattice, "_upper_envelope", _refused_scan)
+        x, y = make_vector(["0.3", "0.3", "0.3", "0.1"]), make_vector(["0.48", "0.2", "0.17", "0.15"])
+        fig_x, fig_y = make_vector(FIG_X).to_float(), make_vector(FIG_Y).to_float()
+        for family in ((x, y), (fig_x,), (fig_x, fig_y)):
+            with pytest.raises(_Scanned):
+                family_sup(family)
 
     def test_empty_family_rejected(self):
         for build in (family_inf, family_sup, Polytope):
